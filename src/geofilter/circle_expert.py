@@ -5,12 +5,12 @@ matrix, and group edges into normal/rebel circles."""
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .core import (Circle, Collector, FilterConfig, ImuSample, NormalEdge,
-                   PixelPoint, RebelAlignmentRow, RebelEdge, trust_init, wrap_deg)
+from .core import (Circle, FilterConfig, ImuSample, NormalEdge, PixelPoint,
+                   RebelAlignmentRow, RebelEdge, TrustLadder, trust_init,
+                   wrap_deg)
 from .kinematics import angle_of, within_error_span
 
 
@@ -20,7 +20,6 @@ class XiClass(enum.Enum):
     XI3 = "xi3"  # inside mu but kinematically inconsistent
     XI4 = "xi4"  # outside mu, in span, magnitude inconsistent: rebel candidate
     XI5 = "xi5"  # fails everything: rebel candidate / fresh landmark
-    XI_R = "xi_r"  # rebel-edge match
 
 
 def classify_edge(obs: PixelPoint, predicted: NormalEdge, config: FilterConfig,
@@ -213,12 +212,37 @@ def match_normal_circle(predicted: Circle, mean_circle: Circle,
     return circle_overlap_percentage(member_locs, predicted) >= config.rho_c
 
 
-def group_and_match_rebel_circle(seed: RebelEdge, pool: Sequence[RebelEdge],
-                                 predicted: Optional[Circle],
-                                 config: FilterConfig,
-                                 imu: ImuSample) -> Tuple[Circle, bool]:
+def match_rebel_circle(predicted: Circle, mean_circle: Circle,
+                       member_locs: Sequence[PixelPoint], config: FilterConfig,
+                       imu: ImuSample) -> bool:
+    """Gate a constructed mean circle against a predicted rebel circle."""
+    if abs(wrap_deg(mean_circle.beta - predicted.beta)) >= config.eps_beta_r:
+        return False
+    if not mean_circle.vel <= predicted.vel + config.eps_v_r * imu.v_v:
+        return False
+    return circle_overlap_percentage(member_locs, predicted) >= config.rho_c
+
+
+def estimate_circle(pred: Circle, mean: Circle, ladder: TrustLadder,
+                    config: FilterConfig) -> Circle:
+    """Trust-weighted fusion of a matched mean circle into the prediction.
+    Trust steps up when the directions agree within the kind's angle gate
+    and down otherwise; the members are the mean circle's."""
+    tr_c = ladder.tr_c
+    eps = config.eps_beta_n if pred.kind == "normal" else config.eps_beta_r
+    delta = 1 if abs(wrap_deg(mean.beta - pred.beta)) < eps else -1
+    return replace(
+        pred, loc=estimate_trusted(pred.loc, mean.loc, pred.trust, tr_c),
+        radius=estimate_trusted(pred.radius, mean.radius, pred.trust, tr_c),
+        vel=estimate_trusted(pred.vel, mean.vel, pred.trust, tr_c),
+        beta=estimate_trusted_angle(pred.beta, mean.beta, pred.trust, tr_c),
+        trust=pred.trust + delta, members=mean.members)
+
+
+def group_rebel_circle(seed: RebelEdge, pool: Sequence[RebelEdge],
+                       config: FilterConfig, imu: ImuSample) -> Circle:
     """Group rebel edges around a seed; the grouping angle is the edge angle
-    plus its deviation.  Optionally gate against a predicted rebel circle."""
+    plus its deviation."""
     seed_angle = wrap_deg(seed.beta + seed.mu)
     member_ids = []
     for i, e in enumerate(pool):
@@ -234,13 +258,6 @@ def group_and_match_rebel_circle(seed: RebelEdge, pool: Sequence[RebelEdge],
     beta = _mean_angle([wrap_deg(e.beta + e.mu) for e in members], seed_angle)
     ox = sum(e.origin.x for e in members) / len(members)
     oy = sum(e.origin.y for e in members) / len(members)
-    circle = Circle(kind="rebel", loc=center, radius=radius, vel=vel, beta=beta,
-                    trust=trust_init("rebel", config.circle_trust),
-                    members=member_ids, origin=PixelPoint(ox, oy))
-    if predicted is None:
-        return circle, False
-    matched = (abs(wrap_deg(beta - predicted.beta)) < config.eps_beta_r
-               and vel <= predicted.vel + config.eps_v_r * imu.v_v
-               and circle_overlap_percentage([e.loc for e in members],
-                                             predicted) >= config.rho_c)
-    return circle, matched
+    return Circle(kind="rebel", loc=center, radius=radius, vel=vel, beta=beta,
+                  trust=trust_init("rebel", config.circle_trust),
+                  members=member_ids, origin=PixelPoint(ox, oy))

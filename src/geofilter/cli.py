@@ -104,49 +104,10 @@ def _cmd_render(args) -> int:
     with open(args.state) as fh:
         for line in fh:
             rec = json.loads(line)
-            state = _state_from_dict(rec)
+            state = formats.state_from_dict(rec)
             svg = render.render_frame_svg(state, cam.width, cam.height)
             (out / f"frame_{rec['frame']:06d}.svg").write_text(svg)
     return 0
-
-
-def _state_from_dict(rec: dict) -> FilterState:
-    from .core import (Circle, Collector, IgnoranceRegion, NormalEdge,
-                       RebelAlignmentRow, RebelEdge, Square)
-
-    def pp(v):
-        return PixelPoint(v[0], v[1])
-
-    return FilterState(
-        frame_index=rec["frame"],
-        chi=[(pp(p), n) for p, n in rec["chi"]],
-        collectors=[Collector(center=pp(c["center"]), radius=c["radius"],
-                              count=c["count"]) for c in rec["collectors"]],
-        psi=[IgnoranceRegion(loc=pp(r["loc"]), extent=tuple(r["extent"]),
-                             ty=r["ty"], remaining_frames=r["remaining"])
-             for r in rec["psi"]],
-        alpha=[RebelAlignmentRow([(f, pp(p)) for f, p in row])
-               for row in rec["alpha"]],
-        normal_edges=[NormalEdge(loc=pp(e["loc"]), vel=e["vel"], beta=e["beta"],
-                                 mu=e["mu"], trust=e["trust"])
-                      for e in rec["normal_edges"]],
-        rebel_edges=[RebelEdge(loc=pp(e["loc"]), vel=e["vel"], beta=e["beta"],
-                               mu=e["mu"], origin=pp(e["origin"]),
-                               trust=e["trust"]) for e in rec["rebel_edges"]],
-        normal_circles=[_circle_from(c) for c in rec["normal_circles"]],
-        rebel_circles=[_circle_from(c) for c in rec["rebel_circles"]],
-        squares=[Square(loc=pp(s["loc"]), radii=tuple(s["radii"]), vel=s["vel"],
-                        beta=s["beta"], origin=pp(s["origin"]),
-                        trust=s["trust"]) for s in rec["squares"]],
-    )
-
-
-def _circle_from(c: dict):
-    from .core import Circle
-    return Circle(kind=c["kind"], loc=PixelPoint(c["loc"][0], c["loc"][1]),
-                  radius=c["radius"], vel=c["vel"], beta=c["beta"],
-                  trust=c["trust"], members=list(c["members"]),
-                  origin=PixelPoint(c["origin"][0], c["origin"][1]))
 
 
 def _cmd_bench(args) -> int:

@@ -7,8 +7,8 @@ cm/s; pixel locations are frame-local with y growing downward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Tuple
 
 PRUNED = None  # sentinel returned by trust_commit when an entity falls below Tr_c
 
@@ -231,85 +231,64 @@ def trust_commit(trust: int, delta: int, ladder: TrustLadder) -> Optional[int]:
 
 # -- flat key=value config serialization ------------------------------------
 
-_CONFIG_KEYS = (
-    "f", "o_i_x", "o_i_y", "width", "height",
-    "tr_c_c", "tr_c_s", "tr_c_m", "tr_s_c", "tr_s_s", "tr_s_m",
-    "delta_v", "delta_beta_1", "delta_beta_2", "mu_0", "rho_c",
-    "eps_beta_n", "eps_beta_r", "eps_beta_s", "eps_beta",
-    "eps_v_n", "eps_v_r", "eps_v", "eps_v_s",
-    "psi_lifetime", "px_per_cm", "use_verbatim_eq1",
-)
+# FilterConfig fields written as several flat keys; every other field is
+# written under its own name
+_NESTED = ("camera", "circle_trust", "square_trust")
+
+
+def _flat(config: FilterConfig) -> Dict[str, object]:
+    """The config as flat key=value pairs, in file order."""
+    cam = config.camera
+    flat = {"f": cam.f, "o_i_x": cam.principal.x, "o_i_y": cam.principal.y,
+            "width": cam.width, "height": cam.height}
+    for prefix, ladder in (("tr_c", config.circle_trust),
+                           ("tr_s", config.square_trust)):
+        flat[f"{prefix}_c"] = ladder.tr_c
+        flat[f"{prefix}_s"] = ladder.tr_s
+        flat[f"{prefix}_m"] = ladder.tr_m
+    for f in fields(FilterConfig):
+        if f.name not in _NESTED:
+            flat[f.name] = getattr(config, f.name)
+    return flat
 
 
 def config_to_text(config: FilterConfig) -> str:
-    cam = config.camera
-    values = {
-        "f": cam.f, "o_i_x": cam.principal.x, "o_i_y": cam.principal.y,
-        "width": cam.width, "height": cam.height,
-        "tr_c_c": config.circle_trust.tr_c, "tr_c_s": config.circle_trust.tr_s,
-        "tr_c_m": config.circle_trust.tr_m,
-        "tr_s_c": config.square_trust.tr_c, "tr_s_s": config.square_trust.tr_s,
-        "tr_s_m": config.square_trust.tr_m,
-        "delta_v": config.delta_v, "delta_beta_1": config.delta_beta_1,
-        "delta_beta_2": config.delta_beta_2, "mu_0": config.mu_0,
-        "rho_c": config.rho_c,
-        "eps_beta_n": config.eps_beta_n, "eps_beta_r": config.eps_beta_r,
-        "eps_beta_s": config.eps_beta_s, "eps_beta": config.eps_beta,
-        "eps_v_n": config.eps_v_n, "eps_v_r": config.eps_v_r,
-        "eps_v": config.eps_v, "eps_v_s": config.eps_v_s,
-        "psi_lifetime": config.psi_lifetime, "px_per_cm": config.px_per_cm,
-        "use_verbatim_eq1": int(config.use_verbatim_eq1),
-    }
-    lines = [f"{k}={values[k]:g}" if isinstance(values[k], float) else f"{k}={values[k]}"
-             for k in _CONFIG_KEYS]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{k}={int(v) if isinstance(v, bool) else repr(v)}\n"
+                   for k, v in _flat(config).items())
 
 
 def config_from_text(text: str) -> FilterConfig:
-    values = {}
+    """Parse flat key=value text; keys left out keep their default_config()
+    value. Malformed lines, unknown keys and bad numbers raise ValueError
+    naming the line."""
+    flat = _flat(default_config())
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-
-    def fget(key, default):
-        return float(values.get(key, default))
-
-    def iget(key, default):
-        return int(float(values.get(key, default)))
-
-    camera = CameraModel(
-        f=fget("f", 500.0),
-        principal=PixelPoint(fget("o_i_x", 320.0), fget("o_i_y", 240.0)),
-        width=fget("width", 640.0),
-        height=fget("height", 480.0),
-    )
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key not in flat:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        kind = type(flat[key])
+        try:
+            num = float(val)
+            flat[key] = bool(int(num)) if kind is bool else kind(num)
+        except (ValueError, OverflowError):
+            raise ValueError(
+                f"line {lineno}: bad value for {key}: {val!r}") from None
     return FilterConfig(
-        camera=camera,
-        circle_trust=TrustLadder(iget("tr_c_c", 2), iget("tr_c_s", 3), iget("tr_c_m", 5)),
-        square_trust=TrustLadder(iget("tr_s_c", 3), iget("tr_s_s", 5), iget("tr_s_m", 7)),
-        delta_v=fget("delta_v", 9.0),
-        delta_beta_1=fget("delta_beta_1", 90.0),
-        delta_beta_2=fget("delta_beta_2", 35.0),
-        mu_0=fget("mu_0", 25.0),
-        rho_c=fget("rho_c", 40.0),
-        eps_beta_n=fget("eps_beta_n", 20.0),
-        eps_beta_r=fget("eps_beta_r", 50.0),
-        eps_beta_s=fget("eps_beta_s", 20.0),
-        eps_beta=fget("eps_beta", 20.0),
-        eps_v_n=fget("eps_v_n", 40.0),
-        eps_v_r=fget("eps_v_r", 100.0),
-        eps_v=fget("eps_v", 0.7),
-        eps_v_s=fget("eps_v_s", 0.7),
-        psi_lifetime=iget("psi_lifetime", 1),
-        px_per_cm=fget("px_per_cm", 5.0),
-        use_verbatim_eq1=bool(iget("use_verbatim_eq1", 0)),
-    )
+        camera=CameraModel(f=flat["f"],
+                           principal=PixelPoint(flat["o_i_x"], flat["o_i_y"]),
+                           width=flat["width"], height=flat["height"]),
+        circle_trust=TrustLadder(flat["tr_c_c"], flat["tr_c_s"], flat["tr_c_m"]),
+        square_trust=TrustLadder(flat["tr_s_c"], flat["tr_s_s"], flat["tr_s_m"]),
+        **{f.name: flat[f.name] for f in fields(FilterConfig)
+           if f.name not in _NESTED})
 
 
 def default_config() -> FilterConfig:
-    return config_from_text("")
+    """The 640x480 camera with f = 500 px and the FilterConfig defaults."""
+    return FilterConfig(camera=CameraModel(f=500.0,
+                                           principal=PixelPoint(320.0, 240.0)))

@@ -15,7 +15,8 @@ from .scene_synth import SceneTruth
 
 log = logging.getLogger(__name__)
 
-METRICS_COLUMNS = ("frame", "chi", "e_n", "e_r", "c_n", "c_r", "s", "psi", "total")
+METRICS_COLUMNS = ("frame", "chi", "e_n", "e_r", "c_n", "c_r", "s", "psi",
+                   "alpha", "total")
 
 
 class FrameFormatError(ValueError):
@@ -134,6 +135,42 @@ def _circle_dict(c: Circle) -> dict:
             "members": list(c.members), "origin": _point(c.origin)}
 
 
+def _pp(v: Sequence[float]) -> PixelPoint:
+    return PixelPoint(v[0], v[1])
+
+
+def state_from_dict(rec: dict) -> FilterState:
+    """Inverse of `state_to_dict`."""
+    return FilterState(
+        frame_index=rec["frame"],
+        chi=[(_pp(p), n) for p, n in rec["chi"]],
+        collectors=[Collector(center=_pp(c["center"]), radius=c["radius"],
+                              count=c["count"]) for c in rec["collectors"]],
+        psi=[IgnoranceRegion(loc=_pp(r["loc"]), extent=tuple(r["extent"]),
+                             ty=r["ty"], remaining_frames=r["remaining"])
+             for r in rec["psi"]],
+        alpha=[RebelAlignmentRow([(f, _pp(p)) for f, p in row])
+               for row in rec["alpha"]],
+        normal_edges=[NormalEdge(loc=_pp(e["loc"]), vel=e["vel"],
+                                 beta=e["beta"], mu=e["mu"], trust=e["trust"])
+                      for e in rec["normal_edges"]],
+        rebel_edges=[RebelEdge(loc=_pp(e["loc"]), vel=e["vel"], beta=e["beta"],
+                               mu=e["mu"], origin=_pp(e["origin"]),
+                               trust=e["trust"]) for e in rec["rebel_edges"]],
+        normal_circles=[_circle_from(c) for c in rec["normal_circles"]],
+        rebel_circles=[_circle_from(c) for c in rec["rebel_circles"]],
+        squares=[Square(loc=_pp(s["loc"]), radii=tuple(s["radii"]),
+                        vel=s["vel"], beta=s["beta"], origin=_pp(s["origin"]),
+                        trust=s["trust"]) for s in rec["squares"]],
+    )
+
+
+def _circle_from(c: dict) -> Circle:
+    return Circle(kind=c["kind"], loc=_pp(c["loc"]), radius=c["radius"],
+                  vel=c["vel"], beta=c["beta"], trust=c["trust"],
+                  members=list(c["members"]), origin=_pp(c["origin"]))
+
+
 def write_state_jsonl(path: Union[str, Path],
                       states: Sequence[FilterState]) -> None:
     with open(path, "w") as fh:
@@ -142,9 +179,8 @@ def write_state_jsonl(path: Union[str, Path],
 
 
 def metrics_row(report: DimensionalityReport, frame: int) -> str:
-    return ",".join(str(v) for v in (
-        frame, report.chi, report.e_n, report.e_r, report.c_n, report.c_r,
-        report.s, report.psi, report.total))
+    return ",".join(str(frame) if c == "frame" else str(getattr(report, c))
+                    for c in METRICS_COLUMNS)
 
 
 def write_metrics_csv(path: Union[str, Path],

@@ -42,21 +42,39 @@ def angle_of(p: PixelPoint, origin: PixelPoint) -> float:
     return wrap_deg(math.degrees(math.atan2(dy, dx)))
 
 
+def advance(rel: PixelPoint, ux: float, uy: float, step_px: float,
+            imu: ImuSample, config: FilterConfig) -> PixelPoint:
+    """Advance a point given relative to the frame origin by one frame: the
+    rotational flow, then `step_px` pixels along the unit direction (ux, uy).
+    Returns the absolute pixel location."""
+    rotated = rotate_motion_field(rel, config.camera, imu.omega,
+                                  verbatim=config.use_verbatim_eq1)
+    return PixelPoint(rotated.x + ux * step_px, rotated.y + uy * step_px)
+
+
+def outward(rel: PixelPoint) -> Tuple[float, float]:
+    """Unit direction of a point given relative to the frame origin; (0, 0)
+    at the origin itself."""
+    r = rel.norm()
+    if r == 0.0:
+        return 0.0, 0.0
+    inv = 1.0 / r
+    return rel.x * inv, rel.y * inv
+
+
+def heading(beta: float) -> Tuple[float, float]:
+    """Unit direction of an angle in degrees."""
+    rad = math.radians(beta)
+    return math.cos(rad), math.sin(rad)
+
+
 def predict_normal_edge(e: NormalEdge, imu: ImuSample, config: FilterConfig) -> NormalEdge:
     """Advance a normal edge one frame: rotational flow, then radial outward
     displacement from the frame origin by the averaged velocity."""
-    origin = config.camera.principal
-    rel = e.loc - origin
-    rotated = rotate_motion_field(rel, config.camera, imu.omega,
-                                  verbatim=config.use_verbatim_eq1)
+    rel = e.loc - config.camera.principal
     v_pred = 0.5 * (e.vel + imu.v_v)
-    r = rel.norm()
-    if r == 0.0:
-        loc = rotated
-    else:
-        step = config.px_per_cm * v_pred * imu.t_f
-        unit = rel.scaled(1.0 / r)
-        loc = rotated + unit.scaled(step)
+    ux, uy = outward(rel)
+    loc = advance(rel, ux, uy, config.px_per_cm * v_pred * imu.t_f, imu, config)
     return replace(e, loc=loc, vel=v_pred)
 
 

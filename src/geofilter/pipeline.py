@@ -6,16 +6,17 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import circle_expert as ce
 from . import line_expert as le
 from . import square_expert as se
 from .core import (Circle, FilterConfig, FilterState, IgnoranceRegion,
                    ImuSample, NormalEdge, PixelPoint, RebelEdge, Square,
-                   trust_commit, trust_init, wrap_deg)
-from .kinematics import angle_of, predict_normal_edge, rotate_motion_field
+                   TrustLadder, trust_commit, trust_init, wrap_deg)
+from .kinematics import (advance, angle_of, heading, outward,
+                         predict_normal_edge)
 
 # how many angle-neighbors each observation is checked against
 _K_NEIGHBORS = 8
@@ -73,34 +74,24 @@ def baseline_store(mode: str, frames: Iterable[Union[int, Sequence]],
 def _predict_rebel_edge(e: RebelEdge, imu: ImuSample,
                         config: FilterConfig) -> RebelEdge:
     """Rebels advance along their own direction after the rotational update."""
-    cam = config.camera
-    rotated = rotate_motion_field(e.loc - cam.principal, cam, imu.omega,
-                                  verbatim=config.use_verbatim_eq1)
-    step = e.vel * imu.t_f * config.px_per_cm
-    rad = math.radians(e.beta)
-    return replace(e, loc=PixelPoint(rotated.x + step * math.cos(rad),
-                                     rotated.y + step * math.sin(rad)))
+    ux, uy = heading(e.beta)
+    return replace(e, loc=advance(e.loc - config.camera.principal, ux, uy,
+                                  e.vel * imu.t_f * config.px_per_cm, imu,
+                                  config))
 
 
 def _predict_circle(c: Circle, imu: ImuSample, config: FilterConfig) -> Circle:
     """Advance a circle one frame; normal circles follow the outward field
     (velocity re-based on the vehicle speed), rebels follow their own angle."""
-    cam = config.camera
-    rotated = rotate_motion_field(c.loc - cam.principal, cam, imu.omega,
-                                  verbatim=config.use_verbatim_eq1)
+    rel = c.loc - config.camera.principal
     if c.kind == "normal":
         vel = imu.v_v
-        rel = c.loc - cam.principal
-        r = rel.norm()
-        if r == 0.0:
-            return replace(c, loc=rotated, vel=vel)
-        step = vel * imu.t_f * config.px_per_cm
-        unit = rel.scaled(1.0 / r)
-        return replace(c, loc=rotated + unit.scaled(step), vel=vel)
-    step = c.vel * imu.t_f * config.px_per_cm
-    rad = math.radians(c.beta)
-    return replace(c, loc=PixelPoint(rotated.x + step * math.cos(rad),
-                                     rotated.y + step * math.sin(rad)))
+        ux, uy = outward(rel)
+    else:
+        vel = c.vel
+        ux, uy = heading(c.beta)
+    return replace(c, loc=advance(rel, ux, uy, vel * imu.t_f * config.px_per_cm,
+                                  imu, config), vel=vel)
 
 
 def _angle_neighbors(sorted_betas: List[float], obs_beta: float,
@@ -195,13 +186,10 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
                 if best is None or key < best[0]:
                     best = (key, idx, cls)
             (_prio, dist, _), idx, cls = best
-            if cls in (ce.XiClass.XI2, ce.XiClass.XI3):
-                assignments.setdefault(idx, []).append((cls, obs, count, dist))
-            elif cls is ce.XiClass.XI1:
-                assignments.setdefault(idx, []).append((cls, obs, count, dist))
+            assignments.setdefault(idx, []).append((cls, obs, count, dist))
+            if cls is ce.XiClass.XI1:
                 xi1_obs.append((obs, count))
-            else:  # XI4 / XI5
-                assignments.setdefault(idx, []).append((cls, obs, count, dist))
+            elif cls in (ce.XiClass.XI4, ce.XiClass.XI5):
                 rebel_candidates.append(obs)
     else:
         fresh_obs = list(chi)
@@ -242,9 +230,7 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
         else:
             est = pred
             delta = -1
-        new_trust = trust_commit(est.trust, delta, ladder)
-        if new_trust is not None:
-            normal_edges.append(replace(est, trust=new_trust))
+        _commit(normal_edges, est, delta, ladder)
     for obs, _count in xi1_obs + fresh_obs:
         normal_edges.append(NormalEdge(
             loc=obs, vel=imu.v_v, beta=angle_of(obs, origin), mu=config.mu_0,
@@ -260,9 +246,7 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
         else:
             est = pred
             delta = -1
-        new_trust = trust_commit(est.trust, delta, ladder)
-        if new_trust is not None:
-            rebel_edges.append(replace(est, trust=new_trust))
+        _commit(rebel_edges, est, delta, ladder)
 
     # alignment matrix
     alpha, new_rebels, recycled = ce.update_rebel_alignment(
@@ -274,11 +258,11 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
             trust=trust_init("normal_edge", ladder)))
 
     # (d) circle expert: circling stage ---------------------------------
-    normal_circles, n_comp = _circle_stage_normal(
-        normal_edges, state.normal_circles, imu, config)
+    normal_circles, n_comp = _circle_stage(
+        normal_edges, state.normal_circles, imu, config, rebel=False)
     comparisons += n_comp
-    rebel_circles, r_comp = _circle_stage_rebel(
-        rebel_edges, state.rebel_circles, imu, config)
+    rebel_circles, r_comp = _circle_stage(
+        rebel_edges, state.rebel_circles, imu, config, rebel=True)
     comparisons += r_comp
     for c in normal_circles + rebel_circles:
         if c.trust == ladder.tr_m:
@@ -303,132 +287,87 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
     return new_state, report
 
 
-def _circle_stage_normal(edges: List[NormalEdge], prev_circles: List[Circle],
-                         imu: ImuSample,
-                         config: FilterConfig) -> Tuple[List[Circle], int]:
+def _commit(out: list, entity, delta: int, ladder: TrustLadder) -> None:
+    """Step an entity's trust by delta; keep it in `out` unless pruned."""
+    trust = trust_commit(entity.trust, delta, ladder)
+    if trust is not None:
+        out.append(replace(entity, trust=trust))
+
+
+def _associate(means: list, predicted: list, admits: Callable[[object, int], bool],
+               fuse: Callable, ladder: TrustLadder,
+               config: FilterConfig) -> Tuple[list, int]:
+    """Match each mean entity to the first unconsumed prediction that
+    `admits(pred, k)` lets through for mean k, and fuse the pair; `fuse`
+    returns the estimate with its trust stepped +-1. Unmatched means are born
+    as they are; unmatched predictions decay. Returns the entities and the
+    number of gate comparisons."""
+    consumed = [False] * len(predicted)
+    out: list = []
     comparisons = 0
-    ladder = config.circle_trust
-    # group edges into mean circles, sweeping in sorted angle order
-    order = sorted(range(len(edges)), key=lambda i: (edges[i].beta, i))
+    for k, mean in enumerate(means):
+        for j, pred in enumerate(predicted):
+            if consumed[j]:
+                continue
+            comparisons += 1
+            if admits(pred, k):
+                consumed[j] = True
+                _commit(out, fuse(pred, mean, ladder, config), 0, ladder)
+                break
+        else:
+            out.append(mean)
+    for j, pred in enumerate(predicted):
+        if not consumed[j]:
+            _commit(out, pred, -1, ladder)
+    return out, comparisons
+
+
+def _circle_stage(edges: list, prev_circles: List[Circle], imu: ImuSample,
+                  config: FilterConfig, rebel: bool) -> Tuple[List[Circle], int]:
+    """Group edges into mean circles and associate them with the predicted
+    circles. Normal edges are seeded in angle order, and a seed's grouping
+    window holds the ungrouped edges within eps_beta_n of it; rebel edges are
+    seeded in list order, and the window holds every ungrouped edge."""
+    means: List[Circle] = []
+    member_locs: List[List[PixelPoint]] = []
+    if rebel:
+        group = ce.group_rebel_circle
+        order = range(len(edges))
+        admits = lambda pred, k: ce.match_rebel_circle(  # noqa: E731
+            pred, means[k], member_locs[k], config, imu)
+    else:
+        group = ce.group_normal_circle
+        order = sorted(range(len(edges)), key=lambda i: (edges[i].beta, i))
+        admits = lambda pred, k: ce.match_normal_circle(  # noqa: E731
+            pred, means[k], member_locs[k], config)
+    comparisons = 0
     assigned = [False] * len(edges)
-    mean_circles: List[Tuple[Circle, List[PixelPoint]]] = []
     for si in order:
         if assigned[si]:
             continue
         seed = edges[si]
         window = [i for i in order
-                  if not assigned[i]
-                  and abs(wrap_deg(edges[i].beta - seed.beta)) < config.eps_beta_n]
+                  if not assigned[i] and (rebel or abs(wrap_deg(
+                      edges[i].beta - seed.beta)) < config.eps_beta_n)]
         subpool = [edges[i] for i in window]
         comparisons += len(subpool)
-        circle = ce.group_normal_circle(seed, subpool, config, imu)
+        circle = group(seed, subpool, config, imu)
         member_global = [window[m] for m in circle.members]
         for g in member_global:
             assigned[g] = True
         circle.members = member_global
-        mean_circles.append((circle, [edges[g].loc for g in member_global]))
+        means.append(circle)
+        member_locs.append([edges[g].loc for g in member_global])
 
     predicted = [_predict_circle(c, imu, config) for c in prev_circles]
-    consumed = [False] * len(predicted)
-    out: List[Circle] = []
-    for mean, member_locs in mean_circles:
-        match = None
-        for j, pred in enumerate(predicted):
-            if consumed[j]:
-                continue
-            comparisons += 1
-            if ce.match_normal_circle(pred, mean, member_locs, config):
-                match = j
-                break
-        if match is None:
-            out.append(mean)
-            continue
-        consumed[match] = True
-        pred = predicted[match]
-        tr_c = ladder.tr_c
-        loc = ce.estimate_trusted(pred.loc, mean.loc, pred.trust, tr_c)
-        radius = ce.estimate_trusted(pred.radius, mean.radius, pred.trust, tr_c)
-        vel = ce.estimate_trusted(pred.vel, mean.vel, pred.trust, tr_c)
-        beta = ce.estimate_trusted_angle(pred.beta, mean.beta, pred.trust, tr_c)
-        delta = 1 if abs(wrap_deg(mean.beta - pred.beta)) < config.eps_beta_n else -1
-        new_trust = trust_commit(pred.trust, delta, ladder)
-        if new_trust is not None:
-            out.append(replace(pred, loc=loc, radius=radius, vel=vel, beta=beta,
-                               trust=new_trust, members=mean.members))
-    for j, pred in enumerate(predicted):
-        if consumed[j]:
-            continue
-        new_trust = trust_commit(pred.trust, -1, ladder)
-        if new_trust is not None:
-            out.append(replace(pred, trust=new_trust))
-    return out, comparisons
-
-
-def _circle_stage_rebel(edges: List[RebelEdge], prev_circles: List[Circle],
-                        imu: ImuSample,
-                        config: FilterConfig) -> Tuple[List[Circle], int]:
-    comparisons = 0
-    ladder = config.circle_trust
-    assigned = [False] * len(edges)
-    mean_circles: List[Tuple[Circle, List[PixelPoint]]] = []
-    for si in range(len(edges)):
-        if assigned[si]:
-            continue
-        seed = edges[si]
-        window = [i for i in range(len(edges)) if not assigned[i]]
-        subpool = [edges[i] for i in window]
-        comparisons += len(subpool)
-        circle, _ = ce.group_and_match_rebel_circle(seed, subpool, None,
-                                                    config, imu)
-        member_global = [window[m] for m in circle.members]
-        for g in member_global:
-            assigned[g] = True
-        circle.members = member_global
-        mean_circles.append((circle, [edges[g].loc for g in member_global]))
-
-    predicted = [_predict_circle(c, imu, config) for c in prev_circles]
-    consumed = [False] * len(predicted)
-    out: List[Circle] = []
-    for mean, member_locs in mean_circles:
-        match = None
-        for j, pred in enumerate(predicted):
-            if consumed[j]:
-                continue
-            comparisons += 1
-            if (abs(wrap_deg(mean.beta - pred.beta)) < config.eps_beta_r
-                    and mean.vel <= pred.vel + config.eps_v_r * imu.v_v
-                    and ce.circle_overlap_percentage(member_locs, pred)
-                    >= config.rho_c):
-                match = j
-                break
-        if match is None:
-            out.append(mean)
-            continue
-        consumed[match] = True
-        pred = predicted[match]
-        tr_c = ladder.tr_c
-        loc = ce.estimate_trusted(pred.loc, mean.loc, pred.trust, tr_c)
-        radius = ce.estimate_trusted(pred.radius, mean.radius, pred.trust, tr_c)
-        vel = ce.estimate_trusted(pred.vel, mean.vel, pred.trust, tr_c)
-        beta = ce.estimate_trusted_angle(pred.beta, mean.beta, pred.trust, tr_c)
-        delta = 1 if abs(wrap_deg(mean.beta - pred.beta)) < config.eps_beta_r else -1
-        new_trust = trust_commit(pred.trust, delta, ladder)
-        if new_trust is not None:
-            out.append(replace(pred, loc=loc, radius=radius, vel=vel, beta=beta,
-                               trust=new_trust, members=mean.members))
-    for j, pred in enumerate(predicted):
-        if consumed[j]:
-            continue
-        new_trust = trust_commit(pred.trust, -1, ladder)
-        if new_trust is not None:
-            out.append(replace(pred, trust=new_trust))
-    return out, comparisons
+    out, n_comp = _associate(means, predicted, admits, ce.estimate_circle,
+                             config.circle_trust, config)
+    return out, comparisons + n_comp
 
 
 def _square_stage(circles: List[Circle], prev_squares: List[Square],
                   imu: ImuSample, config: FilterConfig) -> List[Square]:
     cam = config.camera
-    ladder = config.square_trust
     d_t0 = math.hypot(cam.width, cam.height)
     used = [False] * len(circles)
     mean_squares: List[Square] = []
@@ -475,27 +414,8 @@ def _square_stage(circles: List[Circle], prev_squares: List[Square],
 
     predicted = [se.predict_square(replace(s, vel=imu.v_v), imu, config)
                  for s in prev_squares]
-    consumed = [False] * len(predicted)
-    out: List[Square] = []
-    for mean in mean_squares:
-        match = None
-        for j, pred in enumerate(predicted):
-            if consumed[j]:
-                continue
-            if se.match_square(pred, mean, config, imu.v_v):
-                match = j
-                break
-        if match is None:
-            out.append(mean)
-            continue
-        consumed[match] = True
-        est = se.estimate_square(predicted[match], mean, ladder, config)
-        if est.trust >= ladder.tr_c:
-            out.append(replace(est, trust=min(est.trust, ladder.tr_m)))
-    for j, pred in enumerate(predicted):
-        if consumed[j]:
-            continue
-        new_trust = trust_commit(pred.trust, -1, ladder)
-        if new_trust is not None:
-            out.append(replace(pred, trust=new_trust))
+    out, _ = _associate(
+        mean_squares, predicted,
+        lambda pred, k: se.match_square(pred, mean_squares[k], config, imu.v_v),
+        se.estimate_square, config.square_trust, config)
     return out

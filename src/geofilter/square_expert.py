@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
+from . import circle_expert as ce
 from .core import (Circle, FilterConfig, ImuSample, PixelPoint, Square,
                    TrustLadder, trust_init, wrap_deg)
-from .kinematics import angle_of, rotate_motion_field
+from .kinematics import advance, angle_of, outward
 
 
 class TangentUndefinedError(ValueError):
@@ -139,13 +140,9 @@ def predict_square(square: Square, imu: ImuSample, config: FilterConfig) -> Squa
     origin = square.origin
     if square.loc.x == origin.x and square.loc.y == origin.y:
         return replace(square)
-    cam = config.camera
-    rel = square.loc - cam.principal
-    rotated = rotate_motion_field(rel, cam, imu.omega,
-                                  verbatim=config.use_verbatim_eq1)
-    away = square.loc - origin
-    unit = away.scaled(1.0 / away.norm())
-    advanced = rotated + unit.scaled(square.vel * imu.t_f * config.px_per_cm)
+    ux, uy = outward(square.loc - origin)
+    advanced = advance(square.loc - config.camera.principal, ux, uy,
+                       square.vel * imu.t_f * config.px_per_cm, imu, config)
     delta_r = square.loc.dist(advanced)
     if delta_r == 0.0:
         return replace(square)
@@ -165,7 +162,7 @@ def predict_square(square: Square, imu: ImuSample, config: FilterConfig) -> Squa
     if t_norm == 0.0:
         return replace(square)
     new_t = l_t + t_away.scaled(d_r / t_norm)
-    new_loc = square.loc + unit.scaled(d_r)
+    new_loc = PixelPoint(square.loc.x + ux * d_r, square.loc.y + uy * d_r)
     radii = _predicted_radii(origin, new_t, new_loc, square.radii)
     beta = angle_of(new_loc, origin)
     return replace(square, loc=new_loc, radii=radii, beta=beta)
@@ -217,17 +214,14 @@ def match_square(pred: Square, mean: Square, config: FilterConfig,
 
 def estimate_square(pred: Square, mean: Square, ladder: TrustLadder,
                     config: FilterConfig) -> Square:
-    """Trust-weighted fusion of a matched mean square into the prediction."""
-    w_trust = pred.trust
+    """Trust-weighted fusion of a matched mean square into the prediction.
+    Trust steps up when the directions agree within eps_beta_s and down
+    otherwise."""
     tr_c = ladder.tr_c
-    w = w_trust - tr_c
-    loc = PixelPoint((w * pred.loc.x + mean.loc.x) / (w + 1),
-                     (w * pred.loc.y + mean.loc.y) / (w + 1))
-    radii = ((w * pred.radii[0] + mean.radii[0]) / (w + 1),
-             (w * pred.radii[1] + mean.radii[1]) / (w + 1))
-    vel = (w * pred.vel + mean.vel) / (w + 1)
-    diff = wrap_deg(mean.beta - pred.beta)
-    beta = wrap_deg(pred.beta + diff / (w + 1))
-    delta = 1 if abs(diff) <= config.eps_beta_s else -1
-    return replace(pred, loc=loc, radii=radii, vel=vel, beta=beta,
-                   trust=pred.trust + delta)
+    delta = 1 if abs(wrap_deg(mean.beta - pred.beta)) <= config.eps_beta_s else -1
+    return replace(
+        pred, loc=ce.estimate_trusted(pred.loc, mean.loc, pred.trust, tr_c),
+        radii=ce.estimate_trusted(pred.radii, mean.radii, pred.trust, tr_c),
+        vel=ce.estimate_trusted(pred.vel, mean.vel, pred.trust, tr_c),
+        beta=ce.estimate_trusted_angle(pred.beta, mean.beta, pred.trust, tr_c),
+        trust=pred.trust + delta)

@@ -236,8 +236,7 @@ def test_6_brute_force_equivalence(capsys):
                                                   float(rng.uniform(0, 480))),
                                 trust=4) for e in edges[:50]]
             rseed = rebels[int(rng.integers(0, len(rebels)))]
-            rgot, _ = ce.group_and_match_rebel_circle(rseed, rebels, None,
-                                                      cfg, imu)
+            rgot = ce.group_rebel_circle(rseed, rebels, cfg, imu)
             sa = wrap_deg(rseed.beta + rseed.mu)
             rexpect = [i for i, e in enumerate(rebels) if e is rseed or (
                 abs(wrap_deg(wrap_deg(e.beta + e.mu) - sa)) < cfg.eps_beta_r

@@ -306,11 +306,9 @@ class TestRebelCircle:
         pool = [self._rebel(100.0, 100.0, beta=0.0, mu=10.0),
                 self._rebel(120.0, 100.0, beta=5.0, mu=7.0),
                 self._rebel(140.0, 100.0, beta=120.0)]
-        circle, matched = ce.group_and_match_rebel_circle(pool[0], pool, None,
-                                                          CFG, IMU)
+        circle = ce.group_rebel_circle(pool[0], pool, CFG, IMU)
         assert circle.members == [0, 1]
         assert circle.kind == "rebel"
-        assert not matched
         # mean of member origins (90,100) and (110,100)
         assert circle.origin == PixelPoint(100.0, 100.0)
 
@@ -319,8 +317,9 @@ class TestRebelCircle:
         pred = Circle(kind="rebel", loc=PixelPoint(100.0, 100.0), radius=25.0,
                       vel=2.0, beta=0.0, trust=4, members=[0],
                       origin=PixelPoint(90.0, 100.0))
-        _, matched = ce.group_and_match_rebel_circle(pool[0], pool, pred, CFG,
-                                                     IMU)
+        mean = ce.group_rebel_circle(pool[0], pool, CFG, IMU)
+        matched = ce.match_rebel_circle(pred, mean, [e.loc for e in pool],
+                                        CFG, IMU)
         assert matched
 
     def test_mismatch_on_angle(self):
@@ -328,6 +327,18 @@ class TestRebelCircle:
         pred = Circle(kind="rebel", loc=PixelPoint(100.0, 100.0), radius=25.0,
                       vel=2.0, beta=90.0, trust=4, members=[0],
                       origin=PixelPoint(90.0, 100.0))
-        _, matched = ce.group_and_match_rebel_circle(pool[0], pool, pred, CFG,
-                                                     IMU)
+        mean = ce.group_rebel_circle(pool[0], pool, CFG, IMU)
+        matched = ce.match_rebel_circle(pred, mean, [e.loc for e in pool],
+                                        CFG, IMU)
         assert not matched
+
+    def test_mismatch_on_speed_and_overlap(self):
+        pool = [self._rebel(100.0, 100.0, beta=0.0)]
+        pred = Circle(kind="rebel", loc=PixelPoint(100.0, 100.0), radius=25.0,
+                      vel=2.0, beta=0.0, trust=4, members=[0],
+                      origin=PixelPoint(90.0, 100.0))
+        mean = ce.group_rebel_circle(pool[0], pool, CFG, IMU)
+        fast = replace(mean, vel=pred.vel + CFG.eps_v_r * IMU.v_v + 1.0)
+        assert not ce.match_rebel_circle(pred, fast, [mean.loc], CFG, IMU)
+        assert not ce.match_rebel_circle(pred, mean, [PixelPoint(300.0, 100.0)],
+                                         CFG, IMU)

@@ -49,6 +49,20 @@ class TestSynth:
 
 
 class TestRun:
+    def test_metrics_columns_sum_to_total(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert cli.main(["synth", "--out", str(data), "--seed", "2",
+                         "--points", "150", "--n-frames", "30",
+                         "--noise", "1"]) == 0
+        assert cli.main(["run", "--frames", str(data / "frames.jsonl"),
+                         "--imu", str(data / "imu.jsonl"),
+                         "--out", str(out)]) == 0
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert lines[0].endswith(",total")
+        for line in lines[1:]:
+            _frame, *counts, total = (int(v) for v in line.split(","))
+            assert sum(counts) == total, line
+
     def test_produces_state_and_metrics(self, dataset, tmp_path):
         out = tmp_path / "run"
         rc = cli.main(["run", "--frames", str(dataset / "frames.jsonl"),

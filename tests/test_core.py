@@ -161,6 +161,19 @@ class TestConfig:
         assert c.use_verbatim_eq1 is True
         assert config_from_text(config_to_text(c)) == c
 
+    def test_round_trip_keeps_every_digit(self):
+        c = config_from_text("f=523.4567891\neps_v=0.123456789\n")
+        assert c.camera.f == 523.4567891
+        assert config_from_text(config_to_text(c)) == c
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="line 2: unknown key 'mu_O'"):
+            config_from_text("mu_0=25\nmu_O=12\n")
+
+    def test_bad_value_reports_line(self):
+        with pytest.raises(ValueError, match="line 1"):
+            config_from_text("psi_lifetime=often")
+
     def test_comments_and_blanks_ignored(self):
         c = config_from_text("# comment\n\nmu_0=12\n")
         assert c.mu_0 == 12.0

@@ -2,9 +2,10 @@ import json
 import logging
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geofilter import formats
-from geofilter.cli import _state_from_dict
 from geofilter.core import (Circle, Collector, FilterState, IgnoranceRegion,
                             ImuSample, NormalEdge, PixelPoint,
                             RebelAlignmentRow, RebelEdge, Square)
@@ -100,11 +101,50 @@ def _full_state():
     )
 
 
+_num = st.floats(allow_nan=False, allow_infinity=False)
+_pts = st.builds(PixelPoint, _num, _num)
+_trust = st.integers(0, 9)
+_circles = st.builds(Circle, kind=st.sampled_from(("normal", "rebel")),
+                     loc=_pts, radius=_num, vel=_num, beta=_num, trust=_trust,
+                     members=st.lists(st.integers(0, 99), max_size=3),
+                     origin=_pts)
+_states = st.builds(
+    FilterState,
+    frame_index=st.integers(-1, 10 ** 6),
+    chi=st.lists(st.tuples(_pts, st.integers(1, 9)), max_size=3),
+    collectors=st.lists(st.builds(Collector, center=_pts, radius=_num,
+                                  count=st.integers(1, 9)), max_size=2),
+    psi=st.lists(st.one_of(
+        st.builds(IgnoranceRegion, loc=_pts, extent=st.tuples(_num),
+                  ty=st.just(1), remaining_frames=st.integers(0, 5)),
+        st.builds(IgnoranceRegion, loc=_pts, extent=st.tuples(_num, _num),
+                  ty=st.just(2), remaining_frames=st.integers(0, 5))),
+        max_size=3),
+    alpha=st.lists(st.builds(RebelAlignmentRow, st.lists(
+        st.tuples(st.integers(0, 99), _pts), min_size=1, max_size=3)),
+        max_size=2),
+    normal_edges=st.lists(st.builds(NormalEdge, loc=_pts, vel=_num, beta=_num,
+                                    mu=_num, trust=_trust), max_size=3),
+    rebel_edges=st.lists(st.builds(RebelEdge, loc=_pts, vel=_num, beta=_num,
+                                   mu=_num, origin=_pts, trust=_trust),
+                         max_size=3),
+    normal_circles=st.lists(_circles, max_size=2),
+    rebel_circles=st.lists(_circles, max_size=2),
+    squares=st.lists(st.builds(Square, loc=_pts, radii=st.tuples(_num, _num),
+                               vel=_num, beta=_num, origin=_pts,
+                               trust=_trust), max_size=2))
+
+
 class TestStateSnapshots:
     def test_round_trip_through_json(self):
         state = _full_state()
         rec = json.loads(json.dumps(formats.state_to_dict(state)))
-        assert _state_from_dict(rec) == state
+        assert formats.state_from_dict(rec) == state
+
+    @given(_states)
+    def test_round_trip_generated(self, state):
+        line = json.dumps(formats.state_to_dict(state), sort_keys=True)
+        assert formats.state_from_dict(json.loads(line)) == state
 
     def test_jsonl_is_one_sorted_record_per_state(self, tmp_path):
         path = tmp_path / "state.jsonl"
@@ -124,4 +164,4 @@ class TestMetrics:
         formats.write_metrics_csv(path, [(0, rep)])
         lines = path.read_text().strip().split("\n")
         assert lines[0] == ",".join(formats.METRICS_COLUMNS)
-        assert lines[1] == f"0,5,4,1,2,1,1,2,{rep.total}"
+        assert lines[1] == f"0,5,4,1,2,1,1,2,3,{rep.total}"
