@@ -1,11 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from geofilter.core import PixelPoint
+from geofilter.core import CameraModel, PixelPoint
 from geofilter.detect import CIRCLE16, detect_fast9
+from geofilter.scene_synth import SceneSpec, generate
+
+THRESHOLDS = st.sampled_from([0.0, 15.0, 20.0, 60.0])
 
 
 def _segment_test(img, x, y, t):
@@ -21,6 +26,53 @@ def _segment_test(img, x, y, t):
             if run >= 9:
                 return True
     return False
+
+
+def _arc_score(img, x, y, t):
+    """Largest sum of |ring - center| over a contiguous 9-arc that passes the
+    segment test, or None when no arc passes."""
+    c = int(img[y, x])
+    ring = [int(img[y + dy, x + dx]) for dx, dy in CIRCLE16]
+    best = None
+    for start in range(16):
+        arc = [ring[(start + k) % 16] for k in range(9)]
+        if all(v > c + t for v in arc) or all(v < c - t for v in arc):
+            score = sum(abs(v - c) for v in arc)
+            best = score if best is None else max(best, score)
+    return best
+
+
+def _fast9_oracle(img, t):
+    """Pure-Python FAST-9: segment test, arc score, then 3x3 non-maximal
+    suppression that keeps a corner whose score is at least every
+    neighbouring corner's (ties all survive), in row-major order."""
+    img = np.asarray(img).astype(int)
+    h, w = img.shape
+    score = {(x, y): s for y in range(3, h - 3) for x in range(3, w - 3)
+             if (s := _arc_score(img, x, y, t)) is not None}
+    return [PixelPoint(float(x), float(y)) for (x, y), s in sorted(
+                score.items(), key=lambda item: (item[0][1], item[0][0]))
+            if all(s >= score.get((x + dx, y + dy), 0)
+                   for dx in (-1, 0, 1) for dy in (-1, 0, 1))]
+
+
+def _marks(shape, centers):
+    """3x3 marks of intensity 200 on a flat background of 40."""
+    img = np.full(shape, 40, dtype=np.uint8)
+    for x, y in centers:
+        img[max(0, y - 1):y + 2, max(0, x - 1):x + 2] = 200
+    return img
+
+
+# a static 450-point scene seen by a 320x240 camera, every landmark rendered
+# as a 3x3 mark; sha256 over "x,y" lines of every frame's detections at t = 20
+GOLDEN_SCENE = SceneSpec(
+    n_points=450, frames=3,
+    camera=CameraModel(f=250.0, principal=PixelPoint(160.0, 120.0),
+                       width=320.0, height=240.0),
+    depth_range=(150.0, 2000.0), lateral_range=(-400.0, 400.0))
+GOLDEN_DETECTIONS = (
+    "9510c77debdc178f7a8d64f3d048964eab573d8c15b15bcb431a0bdb7d0399cd")
 
 
 class TestDetectFast9:
@@ -82,3 +134,37 @@ class TestDetectFast9:
         oracle_any = any(_segment_test(arr, x, y, t)
                          for y in range(3, 15) for x in range(3, 15))
         assert bool(detect_fast9(img, t)) == oracle_any
+
+    @given(arrays(np.uint8, (18, 18),
+                  elements=st.integers(min_value=0, max_value=255)),
+           THRESHOLDS)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_oracle_on_random_images(self, img, t):
+        assert detect_fast9(img, t) == _fast9_oracle(img, t)
+
+    @given(arrays(np.uint8, (18, 18),
+                  elements=st.integers(min_value=90, max_value=150)),
+           THRESHOLDS)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_oracle_on_low_contrast_images(self, img, t):
+        assert detect_fast9(img, t) == _fast9_oracle(img, t)
+
+    @given(st.lists(st.tuples(st.integers(0, 23), st.integers(0, 19)),
+                    max_size=8), THRESHOLDS)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_oracle_on_sparse_marks(self, centers, t):
+        # equal-score plateaus: every pixel of an isolated mark ties
+        img = _marks((20, 24), centers)
+        assert detect_fast9(img, t) == _fast9_oracle(img, t)
+
+    def test_golden_detections_on_rendered_scene(self):
+        cam = GOLDEN_SCENE.camera
+        truth = generate(1, GOLDEN_SCENE)
+        digest = hashlib.sha256()
+        for k in range(GOLDEN_SCENE.frames):
+            img = _marks((int(cam.height), int(cam.width)),
+                         [(int(round(p.x)), int(round(p.y)))
+                          for p in truth.edges(k)])
+            for p in detect_fast9(img, 20.0):
+                digest.update(f"{p.x!r},{p.y!r}\n".encode())
+        assert digest.hexdigest() == GOLDEN_DETECTIONS

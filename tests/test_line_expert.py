@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,74 @@ def _group_edges_reference(kept, mu_0):
             centers.append((p.x, p.y))
             counts.append(1)
     return centers, counts
+
+
+def _group_edges_numpy_scan(kept, mu_0):
+    """The vectorised linear scan that `group_edges` replaced, kept verbatim
+    as an exact oracle: centers and counts in collector creation order."""
+    cap = max(16, len(kept))
+    centers = np.empty((cap, 2))
+    counts = []
+    n_col = 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for p in kept:
+            if n_col:
+                dx = centers[:n_col, 0] - p.x
+                dy = centers[:n_col, 1] - p.y
+                hit = np.nonzero(dx * dx + dy * dy <= mu_0 * mu_0)[0]
+            else:
+                hit = ()
+            if len(hit):
+                i = int(hit[0])
+                n = counts[i] + 1
+                centers[i, 0] += (p.x - centers[i, 0]) / n
+                centers[i, 1] += (p.y - centers[i, 1]) / n
+                counts[i] = n
+            else:
+                if n_col == cap:
+                    cap *= 2
+                    grown = np.empty((cap, 2))
+                    grown[:n_col] = centers[:n_col]
+                    centers = grown
+                centers[n_col] = (p.x, p.y)
+                counts.append(1)
+                n_col += 1
+    return [(repr(float(centers[i, 0])), repr(float(centers[i, 1])), counts[i])
+            for i in range(n_col)]
+
+
+def _grouped(kept, mu_0):
+    """`group_edges` output in the oracle's form; repr tells -0.0 from 0.0
+    and lets NaN equal NaN."""
+    chi, collectors = group_edges(kept, mu_0)
+    assert chi == [(c.center, c.count) for c in collectors]
+    assert all(c.radius == mu_0 for c in collectors)
+    return [(repr(c.center.x), repr(c.center.y), c.count) for c in collectors]
+
+
+MU_0 = st.sampled_from([0.0, 0.5, 25.0])
+
+
+@st.composite
+def edge_cloud(draw, mu_0):
+    """Points that stress a grid of cell size mu_0: negative coordinates,
+    exact multiples of mu_0, tight clusters straddling a cell edge (whose
+    centroid drifts across it), duplicates, NaN and infinities."""
+    step = mu_0 if mu_0 > 0 else 1.0
+    multiple = st.integers(-8, 8).map(lambda k: k * step)
+    near_edge = st.tuples(multiple, st.floats(-0.3, 0.3)).map(
+        lambda t: t[0] + t[1] * step)
+    coord = st.one_of(st.floats(-200, 200), multiple, near_edge,
+                      st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=60))
+    if pts and draw(st.booleans()):
+        # a tight cluster around one drawn point
+        x0, y0 = pts[0]
+        jitter = st.floats(-0.45, 0.45)
+        pts += [(x0 + draw(jitter) * step, y0 + draw(jitter) * step)
+                for _ in range(draw(st.integers(1, 12)))]
+    order = draw(st.permutations(range(len(pts))))
+    return [PixelPoint(*pts[i]) for i in order]
 
 
 class TestApplyIgnorance:
@@ -107,6 +176,41 @@ class TestGroupEdges:
         for c, (rx, ry) in zip(collectors, ref_centers):
             assert math.isclose(c.center.x, rx, abs_tol=1e-9)
             assert math.isclose(c.center.y, ry, abs_tol=1e-9)
+
+    @given(st.data(), MU_0)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy_scan_exactly(self, data, mu_0):
+        pts = data.draw(edge_cloud(mu_0))
+        assert _grouped(pts, mu_0) == _group_edges_numpy_scan(pts, mu_0)
+
+    @given(points, st.floats(min_value=0.0, max_value=60.0))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_numpy_scan_on_any_radius(self, pts, mu_0):
+        assert _grouped(pts, mu_0) == _group_edges_numpy_scan(pts, mu_0)
+
+    def test_centroid_drifting_across_cell_edges(self):
+        # the collector's running centroid crosses x = 25 and then x = 50
+        # while it keeps absorbing points; the last point is only in reach
+        # of the moved centroid
+        pts = [PixelPoint(24.0, 0.0), PixelPoint(30.0, 0.0),
+               PixelPoint(40.0, 0.0), PixelPoint(48.0, 0.0),
+               PixelPoint(55.0, 0.0), PixelPoint(60.0, 0.0)]
+        assert _grouped(pts, 25.0) == _group_edges_numpy_scan(pts, 25.0)
+        assert [c[2] for c in _grouped(pts, 25.0)] == [6]
+
+    def test_non_finite_points_seed_their_own_collectors(self):
+        pts = [PixelPoint(1.0, 1.0), PixelPoint(math.nan, 1.0),
+               PixelPoint(1.0, math.inf), PixelPoint(math.nan, 1.0),
+               PixelPoint(2.0, 1.0)]
+        assert _grouped(pts, 25.0) == _group_edges_numpy_scan(pts, 25.0)
+        assert [c[2] for c in _grouped(pts, 25.0)] == [2, 1, 1, 1]
+
+    def test_zero_radius_merges_only_coincident_points(self):
+        pts = [PixelPoint(-3.0, 4.0), PixelPoint(-3.0, 4.0),
+               PixelPoint(-3.0, 4.000001), PixelPoint(0.0, 0.0),
+               PixelPoint(-0.0, 0.0)]
+        assert _grouped(pts, 0.0) == _group_edges_numpy_scan(pts, 0.0)
+        assert [c[2] for c in _grouped(pts, 0.0)] == [2, 1, 2]
 
     @given(points)
     @settings(max_examples=50)
