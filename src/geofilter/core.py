@@ -50,6 +50,9 @@ class CameraModel:
     height: float = 480.0
 
     def __post_init__(self):
+        for name in ("f", "width", "height"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.f <= 0:
             raise ValueError("focal length must be positive")
         if not (0 <= self.principal.x <= self.width and 0 <= self.principal.y <= self.height):
@@ -64,6 +67,8 @@ class ImuSample:
     t_f: float = 1.0  # frame interval, s
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.v_v, self.a_v, *self.omega, self.t_f))):
+            raise ValueError("IMU values must be finite")
         if self.t_f <= 0:
             raise ValueError("frame interval must be positive")
 
@@ -102,6 +107,10 @@ class FilterConfig:
     use_verbatim_eq1: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if not (0 < self.rho_c <= 100):
             raise ValueError("rho_c must be in (0, 100]")
         if self.psi_lifetime < 1:
@@ -274,6 +283,8 @@ def config_from_text(text: str) -> FilterConfig:
         kind = type(flat[key])
         try:
             num = float(val)
+            if not math.isfinite(num):
+                raise ValueError
             flat[key] = bool(int(num)) if kind is bool else kind(num)
         except (ValueError, OverflowError):
             raise ValueError(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -25,7 +26,7 @@ class FrameFormatError(ValueError):
 
 def parse_frames(path: Union[str, Path]) -> Iterator[Tuple[int, List[PixelPoint]]]:
     """Stream (frame_index, edges) records from a JSONL file.  Frame indices
-    must be strictly increasing."""
+    must be strictly increasing and coordinates finite."""
     last = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -38,6 +39,9 @@ def parse_frames(path: Union[str, Path]) -> Iterator[Tuple[int, List[PixelPoint]
                 edges = [PixelPoint(float(x), float(y)) for x, y in rec["edges"]]
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise FrameFormatError(f"{path}:{lineno}: malformed frame record: {exc}")
+            if not all(math.isfinite(p.x) and math.isfinite(p.y) for p in edges):
+                raise FrameFormatError(
+                    f"{path}:{lineno}: non-finite edge coordinate in frame {frame}")
             if last is not None and frame <= last:
                 raise FrameFormatError(
                     f"{path}:{lineno}: non-monotonic frame index {frame} after {last}")
@@ -55,7 +59,8 @@ def write_frames(path: Union[str, Path],
 
 def parse_imu(path: Union[str, Path], n_frames: Optional[int] = None
               ) -> List[ImuSample]:
-    """Read one IMU record per frame; missing frames hold the last value."""
+    """Read one IMU record per frame; missing frames hold the last value.
+    Malformed records and non-finite values raise naming file and line."""
     records = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -3,7 +3,9 @@ the survivors into collectors."""
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import math
+from bisect import insort
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,38 +35,75 @@ def group_edges(kept: Sequence[PixelPoint],
                 mu_0: float) -> Tuple[List[Tuple[PixelPoint, int]], List[Collector]]:
     """Greedy single-pass clustering in input order.
 
-    Each edge joins the first collector whose center is within mu_0; the center
-    is updated to the running centroid.  Unmatched edges seed new collectors.
+    Each edge joins the first collector, in creation order, whose center
+    passes dx*dx + dy*dy <= mu_0*mu_0; the center is updated to the running
+    centroid.  Unmatched edges seed new collectors.
+
+    Collectors are bucketed on a uniform grid of cells a hair wider than mu_0
+    (`_cell_size`), so an edge tests only the collectors in its own and the 8
+    neighbouring cells, lowest index first; a collector moves to another cell
+    when its centroid crosses a cell edge.  An edge with a NaN or infinite
+    coordinate never passes the test: it seeds its own collector and stays
+    off the grid.
     """
-    # parallel arrays for the vectorized distance test
-    cap = max(16, len(kept))
-    centers = np.empty((cap, 2))
+    r2 = mu_0 * mu_0
+    if not math.isfinite(r2):
+        raise ValueError(f"mu_0 must be finite with a finite square, got {mu_0!r}")
+    cell = _cell_size(kept, r2)
+    grid: Dict[Tuple[int, int], List[int]] = {}  # cell -> collector indices
+    cx: List[float] = []
+    cy: List[float] = []
     counts: List[int] = []
-    n_col = 0
+    keys: List[Optional[Tuple[int, int]]] = []
+    cells = grid.get
     for p in kept:
-        if n_col:
-            dx = centers[:n_col, 0] - p.x
-            dy = centers[:n_col, 1] - p.y
-            hit = np.nonzero(dx * dx + dy * dy <= mu_0 * mu_0)[0]
-        else:
-            hit = ()
-        if len(hit):
-            i = int(hit[0])
-            n = counts[i] + 1
-            centers[i, 0] += (p.x - centers[i, 0]) / n
-            centers[i, 1] += (p.y - centers[i, 1]) / n
-            counts[i] = n
-        else:
-            if n_col == cap:
-                cap *= 2
-                grown = np.empty((cap, 2))
-                grown[:n_col] = centers[:n_col]
-                centers = grown
-            centers[n_col] = (p.x, p.y)
+        x, y = float(p.x), float(p.y)
+        hit = key = None
+        if math.isfinite(x) and math.isfinite(y):
+            kx, ky = math.floor(x / cell), math.floor(y / cell)
+            key = (kx, ky)
+            for gx in (kx - 1, kx, kx + 1):
+                for gy in (ky - 1, ky, ky + 1):
+                    for i in cells((gx, gy), ()):
+                        if hit is not None and i >= hit:
+                            break
+                        dx = cx[i] - x
+                        dy = cy[i] - y
+                        if dx * dx + dy * dy <= r2:
+                            hit = i
+                            break
+        if hit is None:
+            if key is not None:
+                grid.setdefault(key, []).append(len(cx))
+            cx.append(x)
+            cy.append(y)
             counts.append(1)
-            n_col += 1
-    collectors = [Collector(center=PixelPoint(float(centers[i, 0]), float(centers[i, 1])),
-                            radius=mu_0, count=counts[i])
-                  for i in range(n_col)]
+            keys.append(key)
+            continue
+        n = counts[hit] + 1
+        cx[hit] += (x - cx[hit]) / n
+        cy[hit] += (y - cy[hit]) / n
+        counts[hit] = n
+        moved = (math.floor(cx[hit] / cell), math.floor(cy[hit] / cell))
+        if moved != keys[hit]:
+            grid[keys[hit]].remove(hit)
+            insort(grid.setdefault(moved, []), hit)
+            keys[hit] = moved
+    collectors = [Collector(center=PixelPoint(x, y), radius=mu_0, count=n)
+                  for x, y, n in zip(cx, cy, counts)]
     chi = [(c.center, c.count) for c in collectors]
     return chi, collectors
+
+
+def _cell_size(kept: Sequence[PixelPoint], r2: float) -> float:
+    """Grid cell width for `group_edges`.
+
+    A center that passes the test lies within sqrt(r2) (at least 2**-500,
+    below which r2 is subnormal) of the edge, up to a few ulps.  The cell is
+    wider than that by a factor 1 + 2**-19, and at least 2**-29 of the largest
+    finite coordinate, so that v / cell is exact to 2**-24 of a cell: a center
+    in reach is never more than one cell away from the edge.
+    """
+    scale = max((abs(v) for p in kept for v in (p.x, p.y) if math.isfinite(v)),
+                default=0.0)
+    return max(math.sqrt(r2), 2.0 ** -500, scale * 2.0 ** -29) * (1 + 2.0 ** -19)

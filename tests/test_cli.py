@@ -83,6 +83,43 @@ class TestRun:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target,line", [("frames.jsonl", 3),
+                                             ("imu.jsonl", 2)])
+    def test_non_finite_input_exits_2_naming_the_line(
+            self, dataset, tmp_path, capsys, target, line):
+        path = dataset / target
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[line - 1])
+        if target == "frames.jsonl":
+            rec["edges"][0][0] = float("nan")
+        else:
+            rec["v_v"] = float("nan")
+        lines[line - 1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        rc = cli.main(["run", "--frames", str(dataset / "frames.jsonl"),
+                       "--imu", str(dataset / "imu.jsonl"),
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{target}:{line}:" in err and "finite" in err
+        assert "Traceback" not in err
+        assert not (out / "state.jsonl").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_bad_threshold_exits_2(self, dataset, tmp_path, capsys,
+                                   threshold):
+        imgdir = tmp_path / "imgs"
+        imgdir.mkdir()
+        _write_pgm(imgdir / "000000.pgm", np.zeros((16, 16), dtype=np.uint8))
+        rc = cli.main(["run", "--frames", str(dataset / "frames.jsonl"),
+                       "--imu", str(dataset / "imu.jsonl"),
+                       "--images", str(imgdir), "--threshold", threshold,
+                       "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "threshold must be finite and non-negative" in err
+
     def test_bad_usage_exits_2(self, capsys):
         assert cli.main(["run"]) == 2
         assert cli.main(["frobnicate"]) == 2

@@ -102,11 +102,27 @@ class TestCameraModel:
         with pytest.raises(ValueError):
             CameraModel(f=500.0, principal=PixelPoint(700.0, 240.0))
 
+    @pytest.mark.parametrize("kw", [{"f": math.nan}, {"f": math.inf},
+                                    {"width": math.inf},
+                                    {"height": math.nan}])
+    def test_rejects_non_finite(self, kw):
+        args = {"f": 500.0, "principal": PixelPoint(320.0, 240.0), **kw}
+        with pytest.raises(ValueError, match="finite"):
+            CameraModel(**args)
+
 
 class TestImuSample:
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):
             ImuSample(v_v=1.0, a_v=0.0, omega=(0, 0, 0), t_f=0.0)
+
+    @pytest.mark.parametrize("kw", [{"v_v": math.nan}, {"a_v": math.inf},
+                                    {"omega": (0.0, -math.inf, 0.0)},
+                                    {"t_f": math.inf}])
+    def test_rejects_non_finite(self, kw):
+        args = {"v_v": 1.0, "a_v": 0.0, "omega": (0.0, 0.0, 0.0), **kw}
+        with pytest.raises(ValueError, match="finite"):
+            ImuSample(**args)
 
 
 class TestIgnoranceRegion:
@@ -174,6 +190,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="line 1"):
             config_from_text("psi_lifetime=often")
 
+    @pytest.mark.parametrize("text,line", [("mu_0=nan", 1),
+                                           ("mu_0=25\neps_v=inf", 2),
+                                           ("f=-inf", 1), ("tr_c_m=nan", 1)])
+    def test_non_finite_value_reports_line(self, text, line):
+        with pytest.raises(ValueError, match=f"line {line}: bad value"):
+            config_from_text(text)
+
     def test_comments_and_blanks_ignored(self):
         c = config_from_text("# comment\n\nmu_0=12\n")
         assert c.mu_0 == 12.0
@@ -189,3 +212,8 @@ class TestConfig:
             FilterConfig(camera=default_config().camera, psi_lifetime=0)
         with pytest.raises(ValueError):
             FilterConfig(camera=default_config().camera, delta_v=-1.0)
+        for name in ("mu_0", "rho_c", "eps_v", "px_per_cm"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    FilterConfig(camera=default_config().camera,
+                                 **{name: bad})

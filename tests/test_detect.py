@@ -82,6 +82,12 @@ class TestDetectFast9:
         with pytest.raises(ValueError):
             detect_fast9(np.zeros(10))
 
+    @pytest.mark.parametrize("t", [-1.0, -0.5, float("nan"), float("inf"),
+                                   float("-inf")])
+    def test_rejects_bad_threshold(self, t):
+        with pytest.raises(ValueError, match="threshold"):
+            detect_fast9(np.zeros((16, 16)), t)
+
     def test_flat_image_has_no_corners(self):
         assert detect_fast9(np.full((32, 32), 128), 20.0) == []
 

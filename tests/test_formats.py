@@ -31,6 +31,16 @@ class TestFrames:
         with pytest.raises(formats.FrameFormatError, match=":2:"):
             list(formats.parse_frames(path))
 
+    @pytest.mark.parametrize("coord", ["NaN", "Infinity", "-Infinity", "1e999",
+                                       '"nan"'])
+    def test_non_finite_coordinate_reports_line(self, tmp_path, coord):
+        path = tmp_path / "frames.jsonl"
+        path.write_text('{"frame": 0, "edges": [[1, 2]]}\n'
+                        f'{{"frame": 1, "edges": [[3, 4], [{coord}, 5]]}}\n')
+        with pytest.raises(formats.FrameFormatError,
+                           match=r"frames\.jsonl:2: non-finite"):
+            list(formats.parse_frames(path))
+
     def test_non_monotonic_rejected(self, tmp_path):
         path = tmp_path / "frames.jsonl"
         path.write_text('{"frame": 1, "edges": []}\n'
@@ -64,6 +74,17 @@ class TestImu:
         path = tmp_path / "imu.jsonl"
         path.write_text("")
         with pytest.raises(formats.FrameFormatError, match="no IMU records"):
+            formats.parse_imu(path)
+
+    @pytest.mark.parametrize("field", ["v_v", "a_v", "wx", "wy", "wz", "t_f"])
+    def test_non_finite_value_reports_line(self, tmp_path, field):
+        rec = {"frame": 0, "v_v": 1.0, "a_v": 0, "wx": 0, "wy": 0, "wz": 0,
+               "t_f": 1.0}
+        bad = dict(rec, frame=1, **{field: float("nan")})
+        path = tmp_path / "imu.jsonl"
+        path.write_text(json.dumps(rec) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(formats.FrameFormatError,
+                           match=r"imu\.jsonl:2: .*finite"):
             formats.parse_imu(path)
 
     def test_malformed_reports_line(self, tmp_path):

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -211,6 +212,11 @@ class TestGroupEdges:
                PixelPoint(-0.0, 0.0)]
         assert _grouped(pts, 0.0) == _group_edges_numpy_scan(pts, 0.0)
         assert [c[2] for c in _grouped(pts, 0.0)] == [2, 1, 2]
+
+    def test_rejects_radius_without_finite_square(self):
+        for mu_0 in (math.nan, math.inf, 1e200):
+            with pytest.raises(ValueError, match="mu_0"):
+                group_edges([PixelPoint(1.0, 1.0)], mu_0)
 
     @given(points)
     @settings(max_examples=50)
