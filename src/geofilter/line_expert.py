@@ -98,11 +98,12 @@ def group_edges(kept: Sequence[PixelPoint],
 def _cell_size(kept: Sequence[PixelPoint], r2: float) -> float:
     """Grid cell width for `group_edges`.
 
-    A center that passes the test lies within sqrt(r2) (at least 2**-500,
-    below which r2 is subnormal) of the edge, up to a few ulps.  The cell is
-    wider than that by a factor 1 + 2**-19, and at least 2**-29 of the largest
-    finite coordinate, so that v / cell is exact to 2**-24 of a cell: a center
-    in reach is never more than one cell away from the edge.
+    A center that passes the test lies within sqrt(r2) of the edge on each
+    axis, up to a few ulps, and within 2**-500 when r2 is below 2**-1000 (zero
+    included).  The cell is wider than that reach by a factor 1 + 2**-19, and
+    at least 2**-29 of the largest finite coordinate, so that v / cell stays
+    finite and exact to 2**-24 of a cell: a center in reach is never more than
+    one cell away from the edge.
     """
     scale = max((abs(v) for p in kept for v in (p.x, p.y) if math.isfinite(v)),
                 default=0.0)

@@ -213,6 +213,14 @@ class TestGroupEdges:
         assert _grouped(pts, 0.0) == _group_edges_numpy_scan(pts, 0.0)
         assert [c[2] for c in _grouped(pts, 0.0)] == [2, 1, 2]
 
+    def test_huge_coordinates_with_tiny_radius(self):
+        # v / cell must stay finite: cells scale with the largest coordinate
+        pts = [PixelPoint(1e300, -1e300), PixelPoint(1e300, -1e300),
+               PixelPoint(0.0, 5e-324), PixelPoint(0.0, 0.0)]
+        for mu_0 in (0.0, 1e-300):
+            assert _grouped(pts, mu_0) == _group_edges_numpy_scan(pts, mu_0)
+        assert [c[2] for c in _grouped(pts, 0.0)] == [2, 2]
+
     def test_rejects_radius_without_finite_square(self):
         for mu_0 in (math.nan, math.inf, 1e200):
             with pytest.raises(ValueError, match="mu_0"):
