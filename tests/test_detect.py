@@ -13,24 +13,10 @@ from geofilter.scene_synth import SceneSpec, generate
 THRESHOLDS = st.sampled_from([0.0, 15.0, 20.0, 60.0])
 
 
-def _segment_test(img, x, y, t):
-    """Independent oracle: at least 9 contiguous circle pixels all brighter
-    than center+t or all darker than center-t."""
-    c = int(img[y, x])
-    ring = [int(img[y + dy, x + dx]) for dx, dy in CIRCLE16]
-    for mask in ([v > c + t for v in ring], [v < c - t for v in ring]):
-        doubled = mask + mask
-        run = 0
-        for m in doubled:
-            run = run + 1 if m else 0
-            if run >= 9:
-                return True
-    return False
-
-
 def _arc_score(img, x, y, t):
-    """Largest sum of |ring - center| over a contiguous 9-arc that passes the
-    segment test, or None when no arc passes."""
+    """Independent oracle: the largest sum of |ring - center| over a
+    contiguous 9-arc whose pixels are all brighter than center+t or all
+    darker than center-t, or None when no arc passes."""
     c = int(img[y, x])
     ring = [int(img[y + dy, x + dx]) for dx, dy in CIRCLE16]
     best = None
@@ -40,6 +26,10 @@ def _arc_score(img, x, y, t):
             score = sum(abs(v - c) for v in arc)
             best = score if best is None else max(best, score)
     return best
+
+
+def _segment_test(img, x, y, t):
+    return _arc_score(img, x, y, t) is not None
 
 
 def _fast9_oracle(img, t):

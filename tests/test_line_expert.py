@@ -190,7 +190,7 @@ class TestGroupEdges:
         assert _grouped(pts, mu_0) == _group_edges_numpy_scan(pts, mu_0)
 
     def test_centroid_drifting_across_cell_edges(self):
-        # the collector's running centroid crosses x = 25 and then x = 50
+        # the collector's running centroid crosses the cell edge at x = 25
         # while it keeps absorbing points; the last point is only in reach
         # of the moved centroid
         pts = [PixelPoint(24.0, 0.0), PixelPoint(30.0, 0.0),
