@@ -5,7 +5,7 @@ layered experts (edge grouping, kinematic circles, rectangular layers) with
 bounded memory and deterministic behavior.
 """
 
-from .core import (CameraModel, Circle, Collector, FilterConfig, FilterState,
+from .core import (CameraModel, Circle, FilterConfig, FilterState,
                    IgnoranceRegion, ImuSample, NormalEdge, PixelPoint,
                    RebelAlignmentRow, RebelEdge, Square, TrustLadder,
                    config_from_text, config_to_text, default_config,
@@ -13,7 +13,7 @@ from .core import (CameraModel, Circle, Collector, FilterConfig, FilterState,
 from .pipeline import DimensionalityReport, baseline_store, dimensionality, step
 
 __all__ = [
-    "CameraModel", "Circle", "Collector", "FilterConfig", "FilterState",
+    "CameraModel", "Circle", "FilterConfig", "FilterState",
     "IgnoranceRegion", "ImuSample", "NormalEdge", "PixelPoint",
     "RebelAlignmentRow", "RebelEdge", "Square", "TrustLadder",
     "config_from_text", "config_to_text", "default_config", "trust_commit",

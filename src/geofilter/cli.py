@@ -1,5 +1,7 @@
-"""Command-line driver: run the filter over recorded frames, synthesize
-datasets, render overlays and benchmark dimensionality against baselines."""
+"""Command-line driver: synthesize datasets, run the filter over recorded
+frames and render overlays.  `run` writes each frame's state and its
+dimensionality next to the raw detection count, from which the accumulative
+and last-K baselines follow."""
 
 from __future__ import annotations
 
@@ -13,19 +15,12 @@ from . import formats, render
 from .core import (CameraModel, FilterState, PixelPoint, config_from_text,
                    config_to_text, default_config)
 from .detect import detect_fast9
-from .pipeline import baseline_store, step
+from .pipeline import step
 from .scene_synth import MoverSpec, SceneSpec, generate
 
 
-def _load_config(path: Optional[str], verbatim_eq1: bool):
-    if path:
-        config = config_from_text(Path(path).read_text())
-    else:
-        config = default_config()
-    if verbatim_eq1:
-        from dataclasses import replace
-        config = replace(config, use_verbatim_eq1=True)
-    return config
+def _load_config(path: Optional[str]):
+    return config_from_text(Path(path).read_text()) if path else default_config()
 
 
 def read_pgm(path: Path):
@@ -54,7 +49,7 @@ def read_pgm(path: Path):
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config, args.verbatim_eq1)
+    config = _load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     frames = list(formats.parse_frames(args.frames))
@@ -99,7 +94,7 @@ def _cmd_synth(args) -> int:
 def _cmd_render(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = _load_config(args.config, False)
+    config = _load_config(args.config)
     cam = config.camera
     with open(args.state) as fh:
         for line in fh:
@@ -107,25 +102,6 @@ def _cmd_render(args) -> int:
             state = formats.state_from_dict(rec)
             svg = render.render_frame_svg(state, cam.width, cam.height)
             (out / f"frame_{rec['frame']:06d}.svg").write_text(svg)
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    config = _load_config(args.config, False)
-    frames = list(formats.parse_frames(args.frames))
-    imu = formats.parse_imu(args.imu, n_frames=max(f for f, _ in frames) + 1)
-    raw_counts = [len(edges) for _f, edges in frames]
-    acc = baseline_store("accumulative", raw_counts)
-    last5 = baseline_store("last_k", raw_counts, k=args.window)
-    state = FilterState()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "bench.csv", "w") as fh:
-        fh.write(f"frame,filter,accumulative,last_{args.window}\n")
-        for i, (frame, edges) in enumerate(frames):
-            state, report = step(state, edges, imu[frame], config,
-                                 frame_index=frame)
-            fh.write(f"{frame},{report.total},{acc[i]},{last5[i]}\n")
     return 0
 
 
@@ -143,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     run.add_argument("--images", help="directory of companion PGM images")
     run.add_argument("--threshold", type=float, default=20.0)
-    run.add_argument("--verbatim-eq1", action="store_true")
     run.set_defaults(func=_cmd_run)
 
     synth = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -165,15 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     rend.add_argument("--config")
     rend.add_argument("--out", required=True)
     rend.set_defaults(func=_cmd_render)
-
-    bench = sub.add_parser("bench",
-                           help="dimensionality vs baseline memory models")
-    bench.add_argument("--frames", required=True)
-    bench.add_argument("--imu", required=True)
-    bench.add_argument("--config")
-    bench.add_argument("--out", required=True)
-    bench.add_argument("--window", type=int, default=5)
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 

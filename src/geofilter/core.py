@@ -113,6 +113,8 @@ class FilterConfig:
                 raise ValueError(f"{f.name} must be finite")
         if not (0 < self.rho_c <= 100):
             raise ValueError("rho_c must be in (0, 100]")
+        if not math.isfinite(self.mu_0 * self.mu_0):
+            raise ValueError("mu_0 must have a finite square")
         if self.psi_lifetime < 1:
             raise ValueError("psi_lifetime must be >= 1")
         for name in ("delta_v", "mu_0", "eps_beta_n", "eps_beta_r", "eps_beta_s",
@@ -185,13 +187,6 @@ class IgnoranceRegion:
 
 
 @dataclass
-class Collector:
-    center: PixelPoint
-    radius: float
-    count: int = 1
-
-
-@dataclass
 class RebelAlignmentRow:
     """Rolling chain of rebel-candidate positions over at most 3 consecutive frames."""
     chain: List[Tuple[int, PixelPoint]]
@@ -204,7 +199,6 @@ class RebelAlignmentRow:
 class FilterState:
     frame_index: int = -1
     chi: List[Tuple[PixelPoint, int]] = field(default_factory=list)
-    collectors: List[Collector] = field(default_factory=list)
     psi: List[IgnoranceRegion] = field(default_factory=list)
     alpha: List[RebelAlignmentRow] = field(default_factory=list)
     normal_edges: List[NormalEdge] = field(default_factory=list)

@@ -9,15 +9,17 @@ import math
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from .core import (Circle, Collector, FilterState, IgnoranceRegion, ImuSample,
-                   NormalEdge, PixelPoint, RebelAlignmentRow, RebelEdge, Square)
+from .core import (Circle, FilterState, IgnoranceRegion, ImuSample, NormalEdge,
+                   PixelPoint, RebelAlignmentRow, RebelEdge, Square)
 from .pipeline import DimensionalityReport
 from .scene_synth import SceneTruth
 
 log = logging.getLogger(__name__)
 
+# the count columns from chi to alpha sum to total; edges, the raw detections
+# of the frame, is kept apart for the accumulative and last-K baselines
 METRICS_COLUMNS = ("frame", "chi", "e_n", "e_r", "c_n", "c_r", "s", "psi",
-                   "alpha", "total")
+                   "alpha", "total", "edges")
 
 
 class FrameFormatError(ValueError):
@@ -115,8 +117,6 @@ def state_to_dict(state: FilterState) -> dict:
     return {
         "frame": state.frame_index,
         "chi": [[_point(p), n] for p, n in state.chi],
-        "collectors": [{"center": _point(c.center), "radius": c.radius,
-                        "count": c.count} for c in state.collectors],
         "psi": [{"loc": _point(r.loc), "extent": list(r.extent), "ty": r.ty,
                  "remaining": r.remaining_frames} for r in state.psi],
         "alpha": [[[f, _point(p)] for f, p in row.chain] for row in state.alpha],
@@ -145,12 +145,11 @@ def _pp(v: Sequence[float]) -> PixelPoint:
 
 
 def state_from_dict(rec: dict) -> FilterState:
-    """Inverse of `state_to_dict`."""
+    """Inverse of `state_to_dict`.  Keys it does not read, such as the
+    `collectors` of older logs, are ignored."""
     return FilterState(
         frame_index=rec["frame"],
         chi=[(_pp(p), n) for p, n in rec["chi"]],
-        collectors=[Collector(center=_pp(c["center"]), radius=c["radius"],
-                              count=c["count"]) for c in rec["collectors"]],
         psi=[IgnoranceRegion(loc=_pp(r["loc"]), extent=tuple(r["extent"]),
                              ty=r["ty"], remaining_frames=r["remaining"])
              for r in rec["psi"]],

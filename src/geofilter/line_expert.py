@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Collector, IgnoranceRegion, PixelPoint
+from .core import IgnoranceRegion, PixelPoint
 
 
 def apply_ignorance(raw_edges: Sequence[PixelPoint],
@@ -32,12 +32,13 @@ def apply_ignorance(raw_edges: Sequence[PixelPoint],
 
 
 def group_edges(kept: Sequence[PixelPoint],
-                mu_0: float) -> Tuple[List[Tuple[PixelPoint, int]], List[Collector]]:
+                mu_0: float) -> Tuple[List[PixelPoint], List[int]]:
     """Greedy single-pass clustering in input order.
 
     Each edge joins the first collector, in creation order, whose center
     passes dx*dx + dy*dy <= mu_0*mu_0; the center is updated to the running
-    centroid.  Unmatched edges seed new collectors.
+    centroid.  Unmatched edges seed new collectors.  Returns the collector
+    centers and member counts, in creation order.
 
     Collectors are bucketed on a uniform grid of cells a hair wider than mu_0
     (`_cell_size`), so an edge tests only the collectors in its own and the 8
@@ -89,10 +90,7 @@ def group_edges(kept: Sequence[PixelPoint],
             grid[keys[hit]].remove(hit)
             insort(grid.setdefault(moved, []), hit)
             keys[hit] = moved
-    collectors = [Collector(center=PixelPoint(x, y), radius=mu_0, count=n)
-                  for x, y, n in zip(cx, cy, counts)]
-    chi = [(c.center, c.count) for c in collectors]
-    return chi, collectors
+    return [PixelPoint(x, y) for x, y in zip(cx, cy)], counts
 
 
 def _cell_size(kept: Sequence[PixelPoint], r2: float) -> float:

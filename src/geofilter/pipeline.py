@@ -38,6 +38,7 @@ class DimensionalityReport:
     psi: int = 0
     alpha: int = 0
     comparisons: int = 0  # instrumented circle-expert comparison count
+    edges: int = 0  # raw detections `step` received; not part of `total`
 
     @property
     def total(self) -> int:
@@ -158,7 +159,7 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
 
     # (b) line expert
     kept, _dropped = le.apply_ignorance(frame, psi)
-    chi, collectors = le.group_edges(kept, config.mu_0)
+    chi = list(zip(*le.group_edges(kept, config.mu_0)))
 
     # (c) circle expert: edge stage -------------------------------------
     predicted_n = [predict_normal_edge(e, imu, config) for e in state.normal_edges]
@@ -278,12 +279,13 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
                                        remaining_frames=config.psi_lifetime))
 
     new_state = FilterState(
-        frame_index=frame_index, chi=chi, collectors=collectors, psi=psi,
-        alpha=alpha, normal_edges=normal_edges, rebel_edges=rebel_edges,
+        frame_index=frame_index, chi=chi, psi=psi, alpha=alpha,
+        normal_edges=normal_edges, rebel_edges=rebel_edges,
         normal_circles=normal_circles, rebel_circles=rebel_circles,
         squares=squares)
     report = dimensionality(new_state)
     report.comparisons = comparisons
+    report.edges = len(frame)
     return new_state, report
 
 

@@ -53,12 +53,9 @@ def shrink_dt(a: Circle, b: Circle, b_prime: Circle, d_t: float) -> float:
         return d_t
     # tangent half-angle of circle b seen from a; both tangent points give the
     # same magnitude
-    s = min(b.radius / d_ab, 1.0)
-    beta_tl = beta_tr = math.degrees(math.asin(s))
+    beta_t = math.degrees(math.asin(min(b.radius / d_ab, 1.0)))
     beta_m = couple_interior_angle(a.loc, b.loc, b_prime.loc)
-    if (b_prime.vel <= a.vel
-            and abs(beta_tr) <= abs(beta_tl) <= abs(beta_m)
-            and d_ab < d_t):
+    if b_prime.vel <= a.vel and abs(beta_t) <= abs(beta_m) and d_ab < d_t:
         return d_t - d_bbp
     return d_t
 

@@ -5,6 +5,14 @@ import pytest
 
 from geofilter import cli
 from geofilter.core import config_to_text, default_config
+from geofilter.detect import detect_fast9
+from geofilter.pipeline import baseline_store
+
+
+def _edges_column(out):
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert lines[0].split(",")[-1] == "edges"
+    return [int(line.split(",")[-1]) for line in lines[1:]]
 
 
 def _write_pgm(path, img):
@@ -58,9 +66,9 @@ class TestRun:
                          "--imu", str(data / "imu.jsonl"),
                          "--out", str(out)]) == 0
         lines = (out / "metrics.csv").read_text().splitlines()
-        assert lines[0].endswith(",total")
+        assert lines[0].endswith(",total,edges")
         for line in lines[1:]:
-            _frame, *counts, total = (int(v) for v in line.split(","))
+            _frame, *counts, total, _edges = (int(v) for v in line.split(","))
             assert sum(counts) == total, line
 
     def test_produces_state_and_metrics(self, dataset, tmp_path):
@@ -75,6 +83,51 @@ class TestRun:
         metrics = (out / "metrics.csv").read_text().strip().split("\n")
         assert metrics[0].startswith("frame,chi,")
         assert len(metrics) == 9
+
+    def test_edges_column_counts_raw_detections(self, dataset, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["run", "--frames", str(dataset / "frames.jsonl"),
+                         "--imu", str(dataset / "imu.jsonl"),
+                         "--out", str(out)]) == 0
+        detections = [len(json.loads(line)["edges"]) for line in
+                      (dataset / "frames.jsonl").read_text().splitlines()]
+        edges = _edges_column(out)
+        assert edges == detections
+        # the accumulative baseline of the edges column never decreases
+        acc = baseline_store("accumulative", edges)
+        assert acc == sorted(acc) and acc[-1] == sum(edges)
+
+    def test_edges_column_counts_fast9_detections(self, dataset, tmp_path):
+        imgdir = tmp_path / "imgs"
+        imgdir.mkdir()
+        img = np.zeros((480, 640), dtype=np.uint8)
+        img[100:103, 200:203] = 220
+        img[300:, 400:] = 180
+        _write_pgm(imgdir / "000001.pgm", img)
+        out = tmp_path / "run"
+        assert cli.main(["run", "--frames", str(dataset / "frames.jsonl"),
+                         "--imu", str(dataset / "imu.jsonl"),
+                         "--images", str(imgdir), "--out", str(out)]) == 0
+        detections = [len(json.loads(line)["edges"]) for line in
+                      (dataset / "frames.jsonl").read_text().splitlines()]
+        detections[1] = len(detect_fast9(cli.read_pgm(imgdir / "000001.pgm"),
+                                         20.0))
+        assert detections[1] > 0
+        assert _edges_column(out) == detections
+
+    def test_config_mu_0_overflow_exits_2_before_frame_0(self, dataset,
+                                                         tmp_path, capsys):
+        config = dataset / "config.txt"
+        config.write_text(config.read_text().replace("mu_0=25.0",
+                                                     "mu_0=1e200"))
+        out = tmp_path / "run"
+        rc = cli.main(["run", "--frames", str(dataset / "frames.jsonl"),
+                       "--imu", str(dataset / "imu.jsonl"),
+                       "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "mu_0" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         rc = cli.main(["run", "--frames", str(tmp_path / "nope.jsonl"),
@@ -158,17 +211,24 @@ class TestRender:
         assert "green" in body  # normal circles present late in the run
         assert "orange" in body  # collector dots
 
-
-class TestBench:
-    def test_writes_baseline_comparison(self, dataset, tmp_path):
-        out = tmp_path / "bench"
-        rc = cli.main(["bench", "--frames", str(dataset / "frames.jsonl"),
-                       "--imu", str(dataset / "imu.jsonl"),
-                       "--out", str(out), "--window", "3"])
-        assert rc == 0
-        lines = (out / "bench.csv").read_text().strip().split("\n")
-        assert lines[0] == "frame,filter,accumulative,last_3"
-        assert len(lines) == 9
-        # the accumulative baseline is non-decreasing
-        acc = [int(l.split(",")[2]) for l in lines[1:]]
-        assert acc == sorted(acc)
+    def test_reads_state_lines_that_carry_collectors(self, dataset, tmp_path):
+        run_out = tmp_path / "run"
+        assert cli.main(["run", "--frames", str(dataset / "frames.jsonl"),
+                         "--imu", str(dataset / "imu.jsonl"),
+                         "--out", str(run_out)]) == 0
+        # older logs repeat chi as `collectors`, each of radius mu_0
+        old = tmp_path / "old.jsonl"
+        recs = [json.loads(line) for line in
+                (run_out / "state.jsonl").read_text().splitlines()]
+        for rec in recs:
+            rec["collectors"] = [{"center": p, "radius": 25.0, "count": n}
+                                 for p, n in rec["chi"]]
+        old.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                               for r in recs))
+        svgs = {}
+        for name, path in (("new", run_out / "state.jsonl"), ("old", old)):
+            assert cli.main(["render", "--state", str(path), "--out",
+                             str(tmp_path / name)]) == 0
+            svgs[name] = [f.read_text()
+                          for f in sorted((tmp_path / name).iterdir())]
+        assert len(svgs["old"]) == 8 and svgs["old"] == svgs["new"]

@@ -197,6 +197,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"line {line}: bad value"):
             config_from_text(text)
 
+    @pytest.mark.parametrize("mu_0", [1e200, 1.4e154, -1e200])
+    def test_rejects_mu_0_whose_square_overflows(self, mu_0):
+        with pytest.raises(ValueError, match="mu_0"):
+            FilterConfig(camera=default_config().camera, mu_0=mu_0)
+        with pytest.raises(ValueError, match="mu_0"):
+            config_from_text(f"mu_0={mu_0!r}")
+        assert config_from_text("mu_0=1.3e154").mu_0 == 1.3e154
+
     def test_comments_and_blanks_ignored(self):
         c = config_from_text("# comment\n\nmu_0=12\n")
         assert c.mu_0 == 12.0

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geofilter import formats
-from geofilter.core import (Circle, Collector, FilterState, IgnoranceRegion,
-                            ImuSample, NormalEdge, PixelPoint,
-                            RebelAlignmentRow, RebelEdge, Square)
+from geofilter.core import (Circle, FilterState, IgnoranceRegion, ImuSample,
+                            NormalEdge, PixelPoint, RebelAlignmentRow,
+                            RebelEdge, Square)
 from geofilter.pipeline import DimensionalityReport
 
 
@@ -98,8 +98,6 @@ def _full_state():
     return FilterState(
         frame_index=7,
         chi=[(PixelPoint(1.0, 2.0), 3)],
-        collectors=[Collector(center=PixelPoint(1.0, 2.0), radius=25.0,
-                              count=3)],
         psi=[IgnoranceRegion(loc=PixelPoint(9.0, 9.0), extent=(4.0,), ty=1,
                              remaining_frames=1),
              IgnoranceRegion(loc=PixelPoint(8.0, 8.0), extent=(4.0, 2.0),
@@ -133,8 +131,6 @@ _states = st.builds(
     FilterState,
     frame_index=st.integers(-1, 10 ** 6),
     chi=st.lists(st.tuples(_pts, st.integers(1, 9)), max_size=3),
-    collectors=st.lists(st.builds(Collector, center=_pts, radius=_num,
-                                  count=st.integers(1, 9)), max_size=2),
     psi=st.lists(st.one_of(
         st.builds(IgnoranceRegion, loc=_pts, extent=st.tuples(_num),
                   ty=st.just(1), remaining_frames=st.integers(0, 5)),
@@ -167,6 +163,15 @@ class TestStateSnapshots:
         line = json.dumps(formats.state_to_dict(state), sort_keys=True)
         assert formats.state_from_dict(json.loads(line)) == state
 
+    def test_reads_lines_that_carry_collectors(self):
+        # logs written before `collectors` was dropped repeat chi there
+        state = _full_state()
+        rec = formats.state_to_dict(state)
+        assert "collectors" not in rec
+        rec["collectors"] = [{"center": p, "radius": 25.0, "count": n}
+                             for p, n in rec["chi"]]
+        assert formats.state_from_dict(json.loads(json.dumps(rec))) == state
+
     def test_jsonl_is_one_sorted_record_per_state(self, tmp_path):
         path = tmp_path / "state.jsonl"
         formats.write_state_jsonl(path, [_full_state(), _full_state()])
@@ -181,8 +186,9 @@ class TestMetrics:
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "metrics.csv"
         rep = DimensionalityReport(chi=5, e_n=4, e_r=1, c_n=2, c_r=1, s=1,
-                                   psi=2, alpha=3)
+                                   psi=2, alpha=3, edges=40)
         formats.write_metrics_csv(path, [(0, rep)])
         lines = path.read_text().strip().split("\n")
         assert lines[0] == ",".join(formats.METRICS_COLUMNS)
-        assert lines[1] == f"0,5,4,1,2,1,1,2,3,{rep.total}"
+        assert lines[0].endswith(",total,edges")
+        assert lines[1] == f"0,5,4,1,2,1,1,2,3,{rep.total},40"

@@ -43,11 +43,11 @@ SCENES = {
 
 GOLDEN = {
     "movers":
-        "3efa8c0bd6b90af93c45fa4c3e4384a11f453a89c5bcba8e089dae0bdfa2498d",
+        "4c135a3584d20339f60ac203711df174332b2258b7ec55ed517c7bae04a886d1",
     "dropped":
-        "78dfc2e1605814ef7f2dd8110d608a55a3d25a2bd6c07b03e874fd8cf29ed4f4",
+        "e57906ae2369e8a50517cfc067a14c099d317f15d30dc652962a1188e043e87e",
     "noisy":
-        "d62d3fd50498b46e6050a8154ee0d76beae7fd1ae96278ed18b4fb649aeee848",
+        "4dda47a78f0b0373bebc986c1b2259a53e2a105f89d901d6d8a74e2c574b4cd4",
 }
 
 

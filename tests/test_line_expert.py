@@ -68,10 +68,9 @@ def _group_edges_numpy_scan(kept, mu_0):
 def _grouped(kept, mu_0):
     """`group_edges` output in the oracle's form; repr tells -0.0 from 0.0
     and lets NaN equal NaN."""
-    chi, collectors = group_edges(kept, mu_0)
-    assert chi == [(c.center, c.count) for c in collectors]
-    assert all(c.radius == mu_0 for c in collectors)
-    return [(repr(c.center.x), repr(c.center.y), c.count) for c in collectors]
+    centers, counts = group_edges(kept, mu_0)
+    assert len(centers) == len(counts)
+    return [(repr(c.x), repr(c.y), n) for c, n in zip(centers, counts)]
 
 
 MU_0 = st.sampled_from([0.0, 0.5, 25.0])
@@ -142,41 +141,37 @@ class TestApplyIgnorance:
 
 class TestGroupEdges:
     def test_empty(self):
-        chi, collectors = group_edges([], 25.0)
-        assert chi == [] and collectors == []
+        assert group_edges([], 25.0) == ([], [])
 
     def test_single_cluster(self):
         pts = [PixelPoint(10.0, 10.0), PixelPoint(12.0, 10.0),
                PixelPoint(11.0, 13.0)]
-        chi, collectors = group_edges(pts, 25.0)
-        assert len(collectors) == 1
-        assert collectors[0].count == 3
-        assert collectors[0].center.x == (10.0 + 12.0 + 11.0) / 3.0
-        assert collectors[0].radius == 25.0
+        centers, counts = group_edges(pts, 25.0)
+        assert counts == [3]
+        assert centers[0].x == (10.0 + 12.0 + 11.0) / 3.0
 
     def test_separate_clusters(self):
         pts = [PixelPoint(0.0, 0.0), PixelPoint(100.0, 0.0),
                PixelPoint(1.0, 0.0)]
-        chi, collectors = group_edges(pts, 25.0)
-        assert [c.count for c in collectors] == [2, 1]
-        assert chi == [(c.center, c.count) for c in collectors]
+        centers, counts = group_edges(pts, 25.0)
+        assert counts == [2, 1] and len(centers) == 2
 
     def test_first_match_wins(self):
         # equidistant to two collectors: joins the earlier one
         pts = [PixelPoint(0.0, 0.0), PixelPoint(40.0, 0.0),
                PixelPoint(20.0, 0.0)]
-        _, collectors = group_edges(pts, 25.0)
-        assert [c.count for c in collectors] == [2, 1]
+        _, counts = group_edges(pts, 25.0)
+        assert counts == [2, 1]
 
     @given(points, st.floats(min_value=5.0, max_value=60.0))
     @settings(max_examples=80)
     def test_matches_reference_replay(self, pts, mu_0):
-        chi, collectors = group_edges(pts, mu_0)
+        centers, counts = group_edges(pts, mu_0)
         ref_centers, ref_counts = _group_edges_reference(pts, mu_0)
-        assert [c.count for c in collectors] == ref_counts
-        for c, (rx, ry) in zip(collectors, ref_centers):
-            assert math.isclose(c.center.x, rx, abs_tol=1e-9)
-            assert math.isclose(c.center.y, ry, abs_tol=1e-9)
+        assert counts == ref_counts
+        for c, (rx, ry) in zip(centers, ref_centers):
+            assert math.isclose(c.x, rx, abs_tol=1e-9)
+            assert math.isclose(c.y, ry, abs_tol=1e-9)
 
     @given(st.data(), MU_0)
     @settings(max_examples=300, deadline=None)
@@ -229,6 +224,6 @@ class TestGroupEdges:
     @given(points)
     @settings(max_examples=50)
     def test_counts_conserved(self, pts):
-        chi, collectors = group_edges(pts, 25.0)
-        assert sum(c.count for c in collectors) == len(pts)
-        assert len(chi) == len(collectors) <= max(1, len(pts))
+        centers, counts = group_edges(pts, 25.0)
+        assert sum(counts) == len(pts)
+        assert len(centers) == len(counts) <= max(1, len(pts))
