@@ -1,4 +1,4 @@
-"""Golden outputs: the per-frame state and dimensionality report of three
+"""Golden outputs: the per-frame state and dimensionality report of four
 fixed scenes, pinned by hash.
 
 A refactor that claims unchanged behaviour must keep these hashes. Each digest
@@ -39,9 +39,17 @@ SCENES = {
                           start_frame=2),
                 MoverSpec(start=(100.0, 400.0), velocity=(10.0, -12.0),
                           start_frame=4))), ()),
+    # the benchmark's dense static scene: 1,100 points, pixel noise and
+    # angular-rate noise; the square stage builds several squares per frame
+    "crowd": (2, SceneSpec(
+        n_points=1100, frames=15, camera=CFG.camera,
+        depth_range=(150.0, 2000.0), lateral_range=(-400.0, 400.0),
+        noise_sigma=1.0, omega_noise=0.002), ()),
 }
 
 GOLDEN = {
+    "crowd":
+        "6ebdc770002de6dc9ec314a91fa65195eb06cdfe2f96cdb42c6bfd3caab083f4",
     "movers":
         "4c135a3584d20339f60ac203711df174332b2258b7ec55ed517c7bae04a886d1",
     "dropped":
