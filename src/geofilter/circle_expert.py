@@ -11,7 +11,7 @@ from typing import List, Sequence, Tuple
 from .core import (Circle, FilterConfig, ImuSample, NormalEdge, PixelPoint,
                    RebelAlignmentRow, RebelEdge, TrustLadder, trust_init,
                    wrap_deg)
-from .kinematics import angle_of, within_error_span
+from .kinematics import angle_of
 
 
 class XiClass(enum.Enum):
@@ -22,17 +22,27 @@ class XiClass(enum.Enum):
     XI5 = "xi5"  # fails everything: rebel candidate / fresh landmark
 
 
-def classify_edge(obs: PixelPoint, predicted: NormalEdge, config: FilterConfig,
+def classify_edge(obs_beta: float, at_origin: bool, dist: float,
+                  predicted: NormalEdge, config: FilterConfig,
                   imu: ImuSample) -> XiClass:
-    """Classify one observation against one advanced normal-edge prediction."""
-    inside_mu = obs.dist(predicted.loc) <= predicted.mu
-    in_span = within_error_span(obs, config.camera.principal, predicted.beta,
-                                config.delta_v)
-    # residual displacement re-expressed as a velocity, compared to the
-    # tolerance scaled by the vehicle speed
-    residual_v = obs.dist(predicted.loc) / (config.px_per_cm * imu.t_f)
-    mag_ok = residual_v <= config.eps_v_n * imu.v_v
-    if inside_mu:
+    """Classify one observation against one advanced normal-edge prediction.
+
+    The observation enters as what the classes read of it: `obs_beta`, its
+    angle about the principal point (`angle_of(obs, principal)`);
+    `at_origin`, whether it is the principal point itself; and `dist`, its
+    distance to the prediction (`obs.dist(predicted.loc)`). `step` computes
+    the first two once per observation and the third once per pair.
+
+    The observation is inside the prediction's radius when dist <= mu. It is
+    in the error span when it sits on the principal point or its angle is
+    within delta_v of the prediction's (`kinematics.within_error_span`). Its
+    magnitude is consistent when the residual, re-expressed as a velocity, is
+    within eps_v_n times the vehicle speed.
+    """
+    in_span = (at_origin or abs(wrap_deg(obs_beta - predicted.beta))
+               <= config.delta_v)
+    mag_ok = dist / (config.px_per_cm * imu.t_f) <= config.eps_v_n * imu.v_v
+    if dist <= predicted.mu:
         return XiClass.XI2 if (in_span and mag_ok) else XiClass.XI3
     if in_span:
         return XiClass.XI1 if mag_ok else XiClass.XI4
@@ -75,7 +85,7 @@ def estimate_normal_edge(pred: NormalEdge, matched_obs: PixelPoint,
     vel = abs(imu.v_v + sign * pred.loc.dist(matched_obs) / scale)
     mu = 0.5 * (abs(imu.v_v - pred.vel) * scale / match_count + pred.mu)
     beta = angle_of(loc, origin)
-    return replace(pred, loc=loc, vel=vel, mu=mu, beta=beta)
+    return NormalEdge(loc=loc, vel=vel, beta=beta, mu=mu, trust=pred.trust)
 
 
 def _chain_admissible(last: PixelPoint, candidate: PixelPoint,

@@ -7,7 +7,6 @@ point; rotation is decoupled and applied first as a small-angle flow update.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Tuple
 
 from .core import CameraModel, FilterConfig, ImuSample, NormalEdge, PixelPoint, wrap_deg
@@ -75,7 +74,7 @@ def predict_normal_edge(e: NormalEdge, imu: ImuSample, config: FilterConfig) -> 
     v_pred = 0.5 * (e.vel + imu.v_v)
     ux, uy = outward(rel)
     loc = advance(rel, ux, uy, config.px_per_cm * v_pred * imu.t_f, imu, config)
-    return replace(e, loc=loc, vel=v_pred)
+    return NormalEdge(loc=loc, vel=v_pred, beta=e.beta, mu=e.mu, trust=e.trust)
 
 
 def within_error_span(candidate: PixelPoint, entity_origin: PixelPoint,

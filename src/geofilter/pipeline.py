@@ -121,13 +121,15 @@ def _angle_neighbors(sorted_betas: List[float], obs_beta: float,
             else:
                 picked.append(hi)
                 hi += 1
-    # circular wrap: also consider the extreme entries across the seam
+    # circular wrap: also consider the extreme entries across the seam. An
+    # entry appended here is nearer than the farthest pick, so it cannot
+    # raise that maximum for the other end.
     if n > k:
+        farthest = max(abs(wrap_deg(sorted_betas[i] - obs_beta)) for i in picked)
         for idx in (0, n - 1):
-            if idx not in picked:
-                if abs(wrap_deg(sorted_betas[idx] - obs_beta)) < max(
-                        abs(wrap_deg(sorted_betas[i] - obs_beta)) for i in picked):
-                    picked.append(idx)
+            if (idx not in picked
+                    and abs(wrap_deg(sorted_betas[idx] - obs_beta)) < farthest):
+                picked.append(idx)
     return picked
 
 
@@ -165,7 +167,9 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
     predicted_n = [predict_normal_edge(e, imu, config) for e in state.normal_edges]
     predicted_r = [_predict_rebel_edge(e, imu, config) for e in state.rebel_edges]
 
-    assignments: Dict[int, List[Tuple[ce.XiClass, PixelPoint, int, float]]] = {}
+    # predicted edge -> the observations it matched as XI2 and as XI3, each
+    # as (obs, count, dist) in observation order
+    matches: Dict[int, Tuple[list, list]] = {}
     xi1_obs: List[Tuple[PixelPoint, int]] = []
     rebel_candidates: List[PixelPoint] = []
     fresh_obs: List[Tuple[PixelPoint, int]] = []
@@ -177,20 +181,26 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
         log_n = max(1, math.ceil(math.log2(n_edges + 1)))
         for obs, count in chi:
             obs_beta = angle_of(obs, origin)
+            at_origin = obs.x == origin.x and obs.y == origin.y
             comparisons += log_n
             best = None  # (priority, dist, edge_idx, cls)
             for sp in _angle_neighbors(sorted_betas, obs_beta, n_edges):
                 idx = order[sp]
-                cls = ce.classify_edge(obs, predicted_n[idx], config, imu)
+                pred = predicted_n[idx]
+                dist = math.hypot(obs.x - pred.loc.x, obs.y - pred.loc.y)
+                cls = ce.classify_edge(obs_beta, at_origin, dist, pred, config,
+                                       imu)
                 comparisons += 1
-                key = (_XI_PRIORITY[cls], obs.dist(predicted_n[idx].loc), idx)
+                key = (_XI_PRIORITY[cls], dist, idx)
                 if best is None or key < best[0]:
                     best = (key, idx, cls)
             (_prio, dist, _), idx, cls = best
-            assignments.setdefault(idx, []).append((cls, obs, count, dist))
-            if cls is ce.XiClass.XI1:
+            if cls is ce.XiClass.XI2 or cls is ce.XiClass.XI3:
+                xi2, xi3 = matches.setdefault(idx, ([], []))
+                (xi2 if cls is ce.XiClass.XI2 else xi3).append((obs, count, dist))
+            elif cls is ce.XiClass.XI1:
                 xi1_obs.append((obs, count))
-            elif cls in (ce.XiClass.XI4, ce.XiClass.XI5):
+            else:
                 rebel_candidates.append(obs)
     else:
         fresh_obs = list(chi)
@@ -218,15 +228,11 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
     # commit normal edges
     normal_edges: List[NormalEdge] = []
     for idx, pred in enumerate(predicted_n):
-        assigned = assignments.get(idx, [])
-        xi2 = sorted([a for a in assigned if a[0] is ce.XiClass.XI2],
-                     key=lambda a: a[3])
-        xi3 = sorted([a for a in assigned if a[0] is ce.XiClass.XI3],
-                     key=lambda a: a[3])
+        xi2, xi3 = matches.get(idx, ((), ()))
         if xi2 or xi3:
-            chosen = (xi2 or xi3)[0]
-            match_count = max(1, sum(a[2] for a in xi2 + xi3))
-            est = ce.estimate_normal_edge(pred, chosen[1], match_count, imu, config)
+            chosen = sorted(xi2 or xi3, key=lambda a: a[2])[0]
+            match_count = max(1, sum(a[1] for a in xi2 + xi3))
+            est = ce.estimate_normal_edge(pred, chosen[0], match_count, imu, config)
             delta = 1 if xi2 else -1
         else:
             est = pred
@@ -293,7 +299,7 @@ def _commit(out: list, entity, delta: int, ladder: TrustLadder) -> None:
     """Step an entity's trust by delta; keep it in `out` unless pruned."""
     trust = trust_commit(entity.trust, delta, ladder)
     if trust is not None:
-        out.append(replace(entity, trust=trust))
+        out.append(type(entity)(**{**vars(entity), "trust": trust}))
 
 
 def _associate(means: list, predicted: list, admits: Callable[[object, int], bool],
@@ -324,12 +330,40 @@ def _associate(means: list, predicted: list, admits: Callable[[object, int], boo
     return out, comparisons
 
 
+# far above the rounding of wrap_deg(a - b) for angles in [-180, 180]
+# (a few 1e-14 degrees), so a bisected window widened by it holds every edge
+# the exact angle test admits
+_WINDOW_MARGIN = 1e-6
+
+
+def _beta_window(sorted_betas: List[float], beta: float,
+                 eps: float) -> Iterable[int]:
+    """Positions in `sorted_betas` that may lie within eps of beta around the
+    circle, ascending and without repeats: the bisected spans
+    beta + 360k +- (eps + margin) for k = -1, 0, 1, the outer two being the
+    spans that wrap across +-180. Angles outside [-180, 180] get every
+    position. Callers apply the exact test to these positions only."""
+    if not (-180.0 <= sorted_betas[0] and sorted_betas[-1] <= 180.0):
+        return range(len(sorted_betas))
+    reach = eps + _WINDOW_MARGIN
+    out: List[int] = []
+    start = 0
+    for centre in (beta - 360.0, beta, beta + 360.0):
+        lo = bisect.bisect_left(sorted_betas, centre - reach, start)
+        start = bisect.bisect_right(sorted_betas, centre + reach, lo)
+        out.extend(range(lo, start))
+    return out
+
+
 def _circle_stage(edges: list, prev_circles: List[Circle], imu: ImuSample,
                   config: FilterConfig, rebel: bool) -> Tuple[List[Circle], int]:
     """Group edges into mean circles and associate them with the predicted
-    circles. Normal edges are seeded in angle order, and a seed's grouping
-    window holds the ungrouped edges within eps_beta_n of it; rebel edges are
-    seeded in list order, and the window holds every ungrouped edge."""
+    circles. Rebel edges are seeded in list order, and a seed's grouping
+    window holds every ungrouped edge. Normal edges are seeded in angle
+    order, and the window holds the ungrouped edges within eps_beta_n of the
+    seed (`abs(wrap_deg(beta - seed.beta)) < eps_beta_n`), in angle order.
+    Only the edges `_beta_window` bisects out of the angle order are tested.
+    `comparisons` counts the window sizes and the association's gate tests."""
     means: List[Circle] = []
     member_locs: List[List[PixelPoint]] = []
     if rebel:
@@ -340,17 +374,23 @@ def _circle_stage(edges: list, prev_circles: List[Circle], imu: ImuSample,
     else:
         group = ce.group_normal_circle
         order = sorted(range(len(edges)), key=lambda i: (edges[i].beta, i))
+        sorted_betas = [edges[i].beta for i in order]
         admits = lambda pred, k: ce.match_normal_circle(  # noqa: E731
             pred, means[k], member_locs[k], config)
     comparisons = 0
     assigned = [False] * len(edges)
+    eps = config.eps_beta_n
     for si in order:
         if assigned[si]:
             continue
         seed = edges[si]
-        window = [i for i in order
-                  if not assigned[i] and (rebel or abs(wrap_deg(
-                      edges[i].beta - seed.beta)) < config.eps_beta_n)]
+        if rebel:
+            window = [i for i in order if not assigned[i]]
+        else:
+            window = [i for i in (order[p] for p in _beta_window(
+                          sorted_betas, seed.beta, eps))
+                      if not assigned[i]
+                      and abs(wrap_deg(edges[i].beta - seed.beta)) < eps]
         subpool = [edges[i] for i in window]
         comparisons += len(subpool)
         circle = group(seed, subpool, config, imu)
@@ -369,6 +409,26 @@ def _circle_stage(edges: list, prev_circles: List[Circle], imu: ImuSample,
 
 def _square_stage(circles: List[Circle], prev_squares: List[Square],
                   imu: ImuSample, config: FilterConfig) -> List[Square]:
+    """Build mean squares from couples of circles and associate them with the
+    predicted squares.
+
+    Each unused circle a, in index order, looks for its furthest couple. The
+    temporary maximum distance d_t starts at the frame diagonal. The unused
+    circles b are tried furthest first (ties by index); a b that passes
+    `se.match_couple_case1` against d_t lets the other circles shrink d_t
+    through `se.shrink_dt`, in index order, and is taken when a is still
+    closer to it than d_t. d_t carries over to the next b. The couple, the
+    circles aligned with a (`se.match_case2`) and the minor circles inside the
+    first box (`se.include_minor_circle`) make one mean square.
+
+    Three prunes skip calls that cannot change the result:
+    - a b that fails `se.couple_kinematics` is dropped before sorting. Those
+      tests do not depend on d_t, so `match_couple_case1` would reject it;
+    - `shrink_dt` runs only over circles no faster than a (vel <= a.vel). It
+      returns d_t unchanged for any other circle, NaN velocity included;
+    - that loop stops once d_ab < d_t fails. d_t never grows, so every later
+      `shrink_dt` call returns it unchanged and b is not taken.
+    """
     cam = config.camera
     d_t0 = math.hypot(cam.width, cam.height)
     used = [False] * len(circles)
@@ -379,18 +439,24 @@ def _square_stage(circles: List[Circle], prev_squares: List[Square],
         d_t = d_t0
         # look for the furthest admissible couple first
         candidates = sorted(
-            (bi for bi in range(len(circles)) if bi != ai and not used[bi]),
-            key=lambda bi: (-a.loc.dist(circles[bi].loc), bi))
+            (-a.loc.dist(b.loc), bi) for bi, b in enumerate(circles)
+            if bi != ai and not used[bi] and se.couple_kinematics(a, b, config))
+        slower = None
         couple = None
-        for bi in candidates:
+        for neg_d_ab, bi in candidates:
             b = circles[bi]
             if not se.match_couple_case1(a, b, d_t, config):
                 continue
-            for ci in range(len(circles)):
-                if ci in (ai, bi):
-                    continue
-                d_t = se.shrink_dt(a, b, circles[ci], d_t)
-            if a.loc.dist(b.loc) < d_t:
+            if slower is None:
+                slower = [ci for ci, c in enumerate(circles)
+                          if ci != ai and c.vel <= a.vel]
+            d_ab = -neg_d_ab
+            for ci in slower:
+                if not d_ab < d_t:
+                    break
+                if ci != bi:
+                    d_t = se.shrink_dt(a, b, circles[ci], d_t)
+            if d_ab < d_t:
                 couple = bi
                 break
         if couple is None:

@@ -21,10 +21,17 @@ def _edge(x, y, vel=2.0, mu=25.0, trust=3):
                       mu=mu, trust=trust)
 
 
+def _classify(obs, pred):
+    """`classify_edge` on the inputs `step` computes for one pair."""
+    origin = CFG.camera.principal
+    return ce.classify_edge(angle_of(obs, origin), obs == origin,
+                            obs.dist(pred.loc), pred, CFG, IMU)
+
+
 class TestClassifyEdge:
     def test_full_match(self):
         pred = _edge(420.0, 240.0)
-        assert ce.classify_edge(PixelPoint(425.0, 240.0), pred, CFG, IMU) \
+        assert _classify(PixelPoint(425.0, 240.0), pred) \
             is ce.XiClass.XI2
 
     def test_inside_radius_but_off_span(self):
@@ -32,27 +39,27 @@ class TestClassifyEdge:
         # within mu=25 px but at ~12.6 deg off the radial direction
         obs = PixelPoint(418.0, 262.0)
         assert abs(angle_of(obs, CFG.camera.principal)) > CFG.delta_v
-        assert ce.classify_edge(obs, pred, CFG, IMU) is ce.XiClass.XI3
+        assert _classify(obs, pred) is ce.XiClass.XI3
 
     def test_outside_radius_in_span_consistent(self):
         pred = _edge(420.0, 240.0)
         obs = PixelPoint(460.0, 240.0)  # 40 px away, radially aligned
-        assert ce.classify_edge(obs, pred, CFG, IMU) is ce.XiClass.XI1
+        assert _classify(obs, pred) is ce.XiClass.XI1
 
     def test_outside_radius_in_span_too_fast(self):
         pred = _edge(420.0, 240.0)
         # displacement gate: eps_v_n * v_v * px_per_cm = 40*2*5 = 400 px
         obs = PixelPoint(830.0, 240.0)
-        assert ce.classify_edge(obs, pred, CFG, IMU) is ce.XiClass.XI4
+        assert _classify(obs, pred) is ce.XiClass.XI4
 
     def test_fails_everything(self):
         pred = _edge(420.0, 240.0)
         obs = PixelPoint(320.0, 100.0)  # 90 deg away, far outside mu
-        assert ce.classify_edge(obs, pred, CFG, IMU) is ce.XiClass.XI5
+        assert _classify(obs, pred) is ce.XiClass.XI5
 
     def test_radius_boundary_inclusive(self):
         pred = _edge(420.0, 240.0)
-        assert ce.classify_edge(PixelPoint(445.0, 240.0), pred, CFG, IMU) \
+        assert _classify(PixelPoint(445.0, 240.0), pred) \
             is ce.XiClass.XI2
 
 

@@ -171,7 +171,10 @@ def _classify_edge_oracle(obs, predicted, config, imu):
 
 def _classify(obs, predicted, config, imu):
     """`classify_edge` called the way `step` calls it for one pair."""
-    return ce.classify_edge(obs, predicted, config, imu)
+    origin = config.camera.principal
+    return ce.classify_edge(angle_of(obs, origin),
+                            obs.x == origin.x and obs.y == origin.y,
+                            obs.dist(predicted.loc), predicted, config, imu)
 
 
 # -- generated inputs --------------------------------------------------------
