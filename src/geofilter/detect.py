@@ -4,8 +4,9 @@ Bresenham circle with non-maximal suppression by arc score.
 A pixel can only pass the segment test if at least 9 of its 16 ring pixels
 are brighter than I_p + t, or at least 9 darker than I_p - t. One pass over
 the 16 shifted planes counts both per pixel; only the pixels that reach 9
-(the candidates) get their ring gathered and the 16-start arc test and score.
-The scores are scattered back into the frame for the 3x3 suppression.
+(the candidates) get their ring gathered; window sums over the cumulative sum
+of the doubled ring then give every arc's test and score at once. The scores
+are scattered back into the frame for the 3x3 suppression.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ from .core import PixelPoint
 CIRCLE16 = ((0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
             (0, 3), (-1, 3), (-2, 2), (-3, 1), (-3, 0), (-3, -1), (-2, -2),
             (-1, -3))
+
+
+def _arc_sums(values: np.ndarray) -> np.ndarray:
+    """(N, 16) sums over the 9-pixel arcs of (N, 16) ring values, one column
+    per start, in int64."""
+    doubled = np.concatenate([values, values[:, :8]], axis=1)
+    cum = np.zeros((len(values), 25), dtype=np.int64)
+    np.cumsum(doubled, axis=1, dtype=np.int64, out=cum[:, 1:])
+    return cum[:, 9:25] - cum[:, :16]
 
 
 def detect_fast9(image: np.ndarray, threshold: float = 20.0) -> List[PixelPoint]:
@@ -45,27 +55,19 @@ def detect_fast9(image: np.ndarray, threshold: float = 20.0) -> List[PixelPoint]
         n_dark += plane < lo
     ys, xs = np.nonzero((n_bright >= 9) | (n_dark >= 9))
 
-    # segment test and arc score on the candidates' (N, 16) rings
+    # segment test and arc score on the candidates' (N, 16) rings: window
+    # sums over the cumulative sum of the doubled ring give, for each of the
+    # 16 starts, how many of the 9 arc pixels are bright or dark and their
+    # summed |ring - center|
     ring = np.stack([img[ys + 3 + dy, xs + 3 + dx] for dx, dy in CIRCLE16],
                     axis=1)
     c = center[ys, xs][:, None]
-    bright = ring > c + threshold
-    dark = ring < c - threshold
-    diffs = np.abs(ring - c)
-    bright2 = np.concatenate([bright, bright[:, :8]], axis=1)
-    dark2 = np.concatenate([dark, dark[:, :8]], axis=1)
-    diffs2 = np.concatenate([diffs, diffs[:, :8]], axis=1)
-    cand_score = np.zeros(len(ys), dtype=np.int64)
-    cand_corner = np.zeros(len(ys), dtype=bool)
-    for start in range(16):
-        for mask2 in (bright2, dark2):
-            arc = mask2[:, start:start + 9].all(axis=1)
-            if not arc.any():
-                continue
-            arc_score = diffs2[:, start:start + 9].sum(axis=1)
-            cand_corner |= arc
-            cand_score = np.where(arc, np.maximum(cand_score, arc_score),
-                                  cand_score)
+    bright_win = _arc_sums(ring > c + threshold)
+    dark_win = _arc_sums(ring < c - threshold)
+    diff_win = _arc_sums(np.abs(ring - c))
+    ok = (bright_win == 9) | (dark_win == 9)
+    cand_corner = ok.any(axis=1)
+    cand_score = np.where(ok, diff_win, 0).max(axis=1)
     score = np.zeros((core_h, core_w), dtype=np.int64)
     is_corner = np.zeros((core_h, core_w), dtype=bool)
     score[ys, xs] = cand_score
