@@ -18,6 +18,15 @@ def wrap_deg(angle: float) -> float:
     return 180.0 - (180.0 - angle) % 360.0
 
 
+class ConfigValueError(ValueError):
+    """A value that a config type rejects; `fields` names the fields at
+    fault, so that `config_from_text` can name the lines that set them."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class PixelPoint:
     x: float
@@ -52,11 +61,12 @@ class CameraModel:
     def __post_init__(self):
         for name in ("f", "width", "height"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ConfigValueError(f"{name} must be finite", name)
         if self.f <= 0:
-            raise ValueError("focal length must be positive")
+            raise ConfigValueError("focal length must be positive", "f")
         if not (0 <= self.principal.x <= self.width and 0 <= self.principal.y <= self.height):
-            raise ValueError("principal point outside the frame")
+            raise ConfigValueError("principal point outside the frame",
+                                   "principal", "width", "height")
 
 
 @dataclass(frozen=True)
@@ -81,7 +91,9 @@ class TrustLadder:
 
     def __post_init__(self):
         if not (0 <= self.tr_c < self.tr_s < self.tr_m):
-            raise ValueError("trust ladder must satisfy 0 <= tr_c < tr_s < tr_m")
+            raise ConfigValueError(
+                "trust ladder must satisfy 0 <= tr_c < tr_s < tr_m",
+                "tr_c", "tr_s", "tr_m")
 
 
 @dataclass(frozen=True)
@@ -110,17 +122,17 @@ class FilterConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
+                raise ConfigValueError(f"{f.name} must be finite", f.name)
         if not (0 < self.rho_c <= 100):
-            raise ValueError("rho_c must be in (0, 100]")
+            raise ConfigValueError("rho_c must be in (0, 100]", "rho_c")
         if not math.isfinite(self.mu_0 * self.mu_0):
-            raise ValueError("mu_0 must have a finite square")
+            raise ConfigValueError("mu_0 must have a finite square", "mu_0")
         if self.psi_lifetime < 1:
-            raise ValueError("psi_lifetime must be >= 1")
+            raise ConfigValueError("psi_lifetime must be >= 1", "psi_lifetime")
         for name in ("delta_v", "mu_0", "eps_beta_n", "eps_beta_r", "eps_beta_s",
                      "eps_beta", "eps_v_n", "eps_v_r", "eps_v", "eps_v_s"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise ConfigValueError(f"{name} must be non-negative", name)
 
 
 @dataclass
@@ -262,9 +274,10 @@ def config_to_text(config: FilterConfig) -> str:
 
 def config_from_text(text: str) -> FilterConfig:
     """Parse flat key=value text; keys left out keep their default_config()
-    value. Malformed lines, unknown keys and bad numbers raise ValueError
-    naming the line."""
+    value. Malformed lines, unknown keys, bad numbers and values that the
+    config types reject raise ValueError naming the line (or lines)."""
     flat = _flat(default_config())
+    given: Dict[str, int] = {}  # flat key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -283,14 +296,36 @@ def config_from_text(text: str) -> FilterConfig:
         except (ValueError, OverflowError):
             raise ValueError(
                 f"line {lineno}: bad value for {key}: {val!r}") from None
-    return FilterConfig(
-        camera=CameraModel(f=flat["f"],
-                           principal=PixelPoint(flat["o_i_x"], flat["o_i_y"]),
-                           width=flat["width"], height=flat["height"]),
-        circle_trust=TrustLadder(flat["tr_c_c"], flat["tr_c_s"], flat["tr_c_m"]),
-        square_trust=TrustLadder(flat["tr_s_c"], flat["tr_s_s"], flat["tr_s_m"]),
+        given[key] = lineno
+
+    def checked(make, keys=lambda name: (name,)):
+        """make(); a value it rejects is reported at the lines that set the
+        fields at fault (`keys` maps a field to its flat keys)."""
+        try:
+            return make()
+        except ConfigValueError as exc:
+            at = sorted({given[k] for name in exc.fields for k in keys(name)
+                         if k in given})
+            raise ValueError(f"line{'s' if len(at) > 1 else ''} "
+                             f"{', '.join(map(str, at))}: {exc}") from None
+
+    camera = checked(
+        lambda: CameraModel(f=flat["f"],
+                            principal=PixelPoint(flat["o_i_x"], flat["o_i_y"]),
+                            width=flat["width"], height=flat["height"]),
+        lambda name: ("o_i_x", "o_i_y") if name == "principal" else (name,))
+
+    def ladder(prefix):
+        return checked(lambda: TrustLadder(flat[f"{prefix}_c"],
+                                           flat[f"{prefix}_s"],
+                                           flat[f"{prefix}_m"]),
+                       lambda name: (f"{prefix}_{name[-1]}",))
+
+    circle_trust, square_trust = ladder("tr_c"), ladder("tr_s")
+    return checked(lambda: FilterConfig(
+        camera=camera, circle_trust=circle_trust, square_trust=square_trust,
         **{f.name: flat[f.name] for f in fields(FilterConfig)
-           if f.name not in _NESTED})
+           if f.name not in _NESTED}))
 
 
 def default_config() -> FilterConfig:

@@ -129,6 +129,28 @@ class TestRun:
         assert "mu_0" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("rho_c", "0.0", "rho_c must be in (0, 100]"),
+        ("mu_0", "1e200", "mu_0 must have a finite square"),
+    ])
+    def test_config_value_rejected_names_its_line(self, dataset, tmp_path,
+                                                  capsys, key, value, message):
+        config = dataset / "config.txt"
+        lines = config.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1)
+                      if line.startswith(f"{key}="))
+        lines[lineno - 1] = f"{key}={value}"
+        config.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        rc = cli.main(["run", "--frames", str(dataset / "frames.jsonl"),
+                       "--imu", str(dataset / "imu.jsonl"),
+                       "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: line {lineno}: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         rc = cli.main(["run", "--frames", str(tmp_path / "nope.jsonl"),
                        "--imu", str(tmp_path / "nope.jsonl"),

@@ -205,6 +205,23 @@ class TestConfig:
             config_from_text(f"mu_0={mu_0!r}")
         assert config_from_text("mu_0=1.3e154").mu_0 == 1.3e154
 
+    @pytest.mark.parametrize("text,message", [
+        ("mu_0=25\nrho_c=0.0", "line 2: rho_c must be in (0, 100]"),
+        ("# c\n\nmu_0=1e200", "line 3: mu_0 must have a finite square"),
+        ("psi_lifetime=0", "line 1: psi_lifetime must be >= 1"),
+        ("eps_v=0.5\ndelta_v=-1", "line 2: delta_v must be non-negative"),
+        ("f=-5", "line 1: focal length must be positive"),
+        ("width=100", "line 1: principal point outside the frame"),
+        ("o_i_y=-1\nmu_0=3\no_i_x=3",
+         "lines 1, 3: principal point outside the frame"),
+        ("tr_c_c=4", "line 1: trust ladder must satisfy"),
+        ("tr_s_s=2\nf=400\ntr_s_c=3", "lines 1, 3: trust ladder must satisfy"),
+    ])
+    def test_rejected_value_names_its_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            config_from_text(text)
+        assert str(info.value).startswith(message)
+
     def test_comments_and_blanks_ignored(self):
         c = config_from_text("# comment\n\nmu_0=12\n")
         assert c.mu_0 == 12.0
