@@ -196,8 +196,8 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
                     best = (key, idx, cls)
             (_prio, dist, _), idx, cls = best
             if cls is ce.XiClass.XI2 or cls is ce.XiClass.XI3:
-                xi2, xi3 = matches.setdefault(idx, ([], []))
-                (xi2 if cls is ce.XiClass.XI2 else xi3).append((obs, count, dist))
+                hits = matches.setdefault(idx, ([], []))
+                hits[0 if cls is ce.XiClass.XI2 else 1].append((obs, count, dist))
             elif cls is ce.XiClass.XI1:
                 xi1_obs.append((obs, count))
             else:
