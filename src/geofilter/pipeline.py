@@ -296,7 +296,8 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
 
 
 def _commit(out: list, entity, delta: int, ladder: TrustLadder) -> None:
-    """Step an entity's trust by delta; keep it in `out` unless pruned."""
+    """Step an entity's trust by delta; unless pruned, append a copy with
+    the new trust to `out`."""
     trust = trust_commit(entity.trust, delta, ladder)
     if trust is not None:
         out.append(type(entity)(**{**vars(entity), "trust": trust}))

@@ -261,6 +261,17 @@ def test_circle_stage_windows_match_oracle(edges, prev, imu, eps_beta_n):
         == repr(_circle_stage_oracle(edges, prev, imu, config, rebel=False))
 
 
+@given(st.lists(st.builds(replace, normal_edges(),
+                          beta=st.floats(-400.0, 400.0)), max_size=15),
+       IMUS)
+@settings(max_examples=100, deadline=None)
+def test_circle_stage_windows_match_oracle_off_range(edges, imu):
+    """Betas outside [-180, 180] do not come out of `step`, but the windows
+    still hold what the full scan holds."""
+    assert repr(pipeline._circle_stage(edges, [], imu, CFG, rebel=False)) \
+        == repr(_circle_stage_oracle(edges, [], imu, CFG, rebel=False))
+
+
 @given(st.lists(SEAM_BETAS, min_size=1, max_size=20),
        st.one_of(SEAM_BETAS, st.just(math.nan)))
 @settings(max_examples=400, deadline=None)
