@@ -26,10 +26,13 @@ CIRCLE16 = ((0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
 
 def _arc_sums(values: np.ndarray) -> np.ndarray:
     """(N, 16) sums over the 9-pixel arcs of (N, 16) ring values, one column
-    per start, in int64."""
+    per start. They are accumulated in int32, which holds 24 summands of
+    less than 2**31 / 24 each: exact for any image whose values span less
+    than that (every 8- and 16-bit image). int64 sums raised the benchmark's
+    peak memory by about 3 MB."""
     doubled = np.concatenate([values, values[:, :8]], axis=1)
-    cum = np.zeros((len(values), 25), dtype=np.int64)
-    np.cumsum(doubled, axis=1, dtype=np.int64, out=cum[:, 1:])
+    cum = np.zeros((len(values), 25), dtype=np.int32)
+    np.cumsum(doubled, axis=1, dtype=np.int32, out=cum[:, 1:])
     return cum[:, 9:25] - cum[:, :16]
 
 

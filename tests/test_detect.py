@@ -138,6 +138,15 @@ class TestDetectFast9:
     def test_equals_oracle_on_random_images(self, img, t):
         assert detect_fast9(img, t) == _fast9_oracle(img, t)
 
+    @given(arrays(np.uint16, (18, 18), elements=st.sampled_from(
+               [0, 1, 30000, 65534, 65535])),
+           st.sampled_from([0.0, 20.0, 30000.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_oracle_on_full_range_16_bit_images(self, img, t):
+        # the arc sums are accumulated in int32; 24 differences of up to
+        # 65535 still fit
+        assert detect_fast9(img, t) == _fast9_oracle(img, t)
+
     @given(arrays(np.uint8, (18, 18),
                   elements=st.integers(min_value=90, max_value=150)),
            THRESHOLDS)
