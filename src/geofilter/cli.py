@@ -50,24 +50,24 @@ def read_pgm(path: Path):
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     frames = list(formats.parse_frames(args.frames))
-    imu = formats.parse_imu(args.imu, n_frames=max(f for f, _ in frames) + 1)
-    if args.images:
-        image_dir = Path(args.images)
-        for i, (frame, _edges) in enumerate(frames):
-            img_path = image_dir / f"{frame:06d}.pgm"
-            if img_path.exists():
-                frames[i] = (frame, detect_fast9(read_pgm(img_path),
-                                                 args.threshold))
+    if not frames:
+        raise formats.FrameFormatError(f"{args.frames}: no frames")
+    # parse_frames keeps the frame indices strictly increasing
+    imu = formats.parse_imu(args.imu, n_frames=frames[-1][0] + 1)
     state = FilterState()
     states, reports = [], []
     for frame, edges in frames:
+        if args.images:
+            img_path = Path(args.images) / f"{frame:06d}.pgm"
+            if img_path.exists():
+                edges = detect_fast9(read_pgm(img_path), args.threshold)
         state, report = step(state, edges, imu[frame], config,
                              frame_index=frame)
         states.append(state)
         reports.append((frame, report))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     formats.write_state_jsonl(out / "state.jsonl", states)
     formats.write_metrics_csv(out / "metrics.csv", reports)
     return 0

@@ -47,9 +47,6 @@ class PixelPoint:
     def dist(self, other: "PixelPoint") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def as_tuple(self) -> Tuple[float, float]:
-        return (self.x, self.y)
-
 
 @dataclass(frozen=True)
 class CameraModel:
@@ -116,7 +113,6 @@ class FilterConfig:
     eps_v_s: float = 0.7
     psi_lifetime: int = 1  # frames an ignorance region stays active
     px_per_cm: float = 5.0  # projection scale for velocity -> pixel displacement
-    use_verbatim_eq1: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -192,10 +188,10 @@ class IgnoranceRegion:
             raise ValueError("ignorance region type must be 1 or 2")
 
     def contains(self, p: PixelPoint) -> bool:
+        dx, dy = p.x - self.loc.x, p.y - self.loc.y
         if self.ty == 1:
-            return p.dist(self.loc) <= self.extent[0]
-        return (abs(p.x - self.loc.x) <= self.extent[0]
-                and abs(p.y - self.loc.y) <= self.extent[1])
+            return dx * dx + dy * dy <= self.extent[0] ** 2
+        return abs(dx) <= self.extent[0] and abs(dy) <= self.extent[1]
 
 
 @dataclass
@@ -268,14 +264,14 @@ def _flat(config: FilterConfig) -> Dict[str, object]:
 
 
 def config_to_text(config: FilterConfig) -> str:
-    return "".join(f"{k}={int(v) if isinstance(v, bool) else repr(v)}\n"
-                   for k, v in _flat(config).items())
+    return "".join(f"{k}={v!r}\n" for k, v in _flat(config).items())
 
 
 def config_from_text(text: str) -> FilterConfig:
     """Parse flat key=value text; keys left out keep their default_config()
-    value. Malformed lines, unknown keys, bad numbers and values that the
-    config types reject raise ValueError naming the line (or lines)."""
+    value. Malformed lines, unknown keys, bad numbers (a fraction for an
+    integer key among them) and values that the config types reject raise
+    ValueError naming the line (or lines)."""
     flat = _flat(default_config())
     given: Dict[str, int] = {}  # flat key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -290,10 +286,10 @@ def config_from_text(text: str) -> FilterConfig:
         kind = type(flat[key])
         try:
             num = float(val)
-            if not math.isfinite(num):
+            if not math.isfinite(num) or (kind is int and not num.is_integer()):
                 raise ValueError
-            flat[key] = bool(int(num)) if kind is bool else kind(num)
-        except (ValueError, OverflowError):
+            flat[key] = kind(num)
+        except ValueError:
             raise ValueError(
                 f"line {lineno}: bad value for {key}: {val!r}") from None
         given[key] = lineno

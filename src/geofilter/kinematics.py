@@ -13,22 +13,20 @@ from .core import CameraModel, FilterConfig, ImuSample, NormalEdge, PixelPoint, 
 
 
 def rotate_motion_field(loc_rel: PixelPoint, camera: CameraModel,
-                        omega: Tuple[float, float, float],
-                        verbatim: bool = False) -> PixelPoint:
+                        omega: Tuple[float, float, float]) -> PixelPoint:
     """Apply the rotational part of the motion field to a point given relative
     to the frame origin; returns the absolute pixel location.
 
-    The default corrects the last factor of the y row to wx (standard
-    decoupled motion-field form); ``verbatim`` keeps the printed wy.
+    The last factor of the y row is wx, the standard decoupled motion-field
+    form; the paper's Eq. 1 prints wy there.
     """
     wx, wy, wz = omega
     lx, ly = loc_rel.x, loc_rel.y
     f = camera.f
     out_x = (lx + camera.principal.x + f * wy + ly * wz
              + (lx * ly * wx - lx * lx * wy) / f)
-    last = wy if verbatim else wx
     out_y = (ly + camera.principal.y + f * wx + lx * wz
-             + (lx * ly * wy - ly * ly * last) / f)
+             + (lx * ly * wy - ly * ly * wx) / f)
     return PixelPoint(out_x, out_y)
 
 
@@ -46,8 +44,7 @@ def advance(rel: PixelPoint, ux: float, uy: float, step_px: float,
     """Advance a point given relative to the frame origin by one frame: the
     rotational flow, then `step_px` pixels along the unit direction (ux, uy).
     Returns the absolute pixel location."""
-    rotated = rotate_motion_field(rel, config.camera, imu.omega,
-                                  verbatim=config.use_verbatim_eq1)
+    rotated = rotate_motion_field(rel, config.camera, imu.omega)
     return PixelPoint(rotated.x + ux * step_px, rotated.y + uy * step_px)
 
 

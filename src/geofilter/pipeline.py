@@ -7,7 +7,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import accumulate
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import circle_expert as ce
 from . import line_expert as le
@@ -54,17 +55,11 @@ def dimensionality(state: FilterState) -> DimensionalityReport:
         psi=len(state.psi), alpha=len(state.alpha))
 
 
-def baseline_store(mode: str, frames: Iterable[Union[int, Sequence]],
-                   k: int = 5) -> List[int]:
-    """Reference memory baselines: running total of raw edge counts, or the
-    sum over the trailing k frames."""
-    counts = [f if isinstance(f, int) else len(f) for f in frames]
+def baseline_store(mode: str, counts: Sequence[int], k: int = 5) -> List[int]:
+    """Reference memory baselines over the raw edge count of each frame: the
+    running total, or the sum over the trailing k frames."""
     if mode == "accumulative":
-        out, total = [], 0
-        for c in counts:
-            total += c
-            out.append(total)
-        return out
+        return list(accumulate(counts))
     if mode == "last_k":
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -170,9 +165,9 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
     # predicted edge -> the observations it matched as XI2 and as XI3, each
     # as (obs, count, dist) in observation order
     matches: Dict[int, Tuple[list, list]] = {}
-    xi1_obs: List[Tuple[PixelPoint, int]] = []
+    # observations born as normal edges: XI1, or all of chi with no prediction
+    born: List[PixelPoint] = []
     rebel_candidates: List[PixelPoint] = []
-    fresh_obs: List[Tuple[PixelPoint, int]] = []
 
     if predicted_n:
         order = sorted(range(len(predicted_n)), key=lambda i: (predicted_n[i].beta, i))
@@ -199,11 +194,11 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
                 hits = matches.setdefault(idx, ([], []))
                 hits[0 if cls is ce.XiClass.XI2 else 1].append((obs, count, dist))
             elif cls is ce.XiClass.XI1:
-                xi1_obs.append((obs, count))
+                born.append(obs)
             else:
                 rebel_candidates.append(obs)
     else:
-        fresh_obs = list(chi)
+        born = [obs for obs, _count in chi]
 
     # rebel-edge matching consumes candidates before the alignment matrix
     rebel_obs: Dict[int, List[Tuple[PixelPoint, float]]] = {}
@@ -213,13 +208,12 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
         best = None
         for j, pr in enumerate(predicted_r):
             comparisons += 1
-            if obs.dist(pr.loc) > gate:
+            d = obs.dist(pr.loc)
+            if d > gate:
                 continue
             ang_err = abs(wrap_deg(angle_of(obs, pr.origin) - pr.beta))
-            if ang_err <= config.delta_v + pr.mu:
-                d = obs.dist(pr.loc)
-                if best is None or d < best[0]:
-                    best = (d, j)
+            if ang_err <= config.delta_v + pr.mu and (best is None or d < best[0]):
+                best = (d, j)
         if best is None:
             alpha_candidates.append(obs)
         else:
@@ -230,7 +224,7 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
     for idx, pred in enumerate(predicted_n):
         xi2, xi3 = matches.get(idx, ((), ()))
         if xi2 or xi3:
-            chosen = sorted(xi2 or xi3, key=lambda a: a[2])[0]
+            chosen = min(xi2 or xi3, key=lambda a: a[2])
             match_count = max(1, sum(a[1] for a in xi2 + xi3))
             est = ce.estimate_normal_edge(pred, chosen[0], match_count, imu, config)
             delta = 1 if xi2 else -1
@@ -238,28 +232,26 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
             est = pred
             delta = -1
         _commit(normal_edges, est, delta, ladder)
-    for obs, _count in xi1_obs + fresh_obs:
-        normal_edges.append(NormalEdge(
-            loc=obs, vel=imu.v_v, beta=angle_of(obs, origin), mu=config.mu_0,
-            trust=trust_init("normal_edge", ladder)))
 
     # commit rebel edges
     rebel_edges: List[RebelEdge] = []
     for j, pred in enumerate(predicted_r):
-        hits = sorted(rebel_obs.get(j, []), key=lambda h: h[1])
+        hits = rebel_obs.get(j)
         if hits:
-            est = ce.estimate_rebel_edge(pred, hits[0][0], imu, config)
+            est = ce.estimate_rebel_edge(pred, min(hits, key=lambda h: h[1])[0],
+                                         imu, config)
             delta = 1
         else:
             est = pred
             delta = -1
         _commit(rebel_edges, est, delta, ladder)
 
-    # alignment matrix
+    # alignment matrix, then the births of normal edges: the observations
+    # gathered above, then the points the matrix recycles
     alpha, new_rebels, recycled = ce.update_rebel_alignment(
         state.alpha, alpha_candidates, frame_index, config, imu)
     rebel_edges.extend(new_rebels)
-    for p in recycled:
+    for p in born + recycled:
         normal_edges.append(NormalEdge(
             loc=p, vel=imu.v_v, beta=angle_of(p, origin), mu=config.mu_0,
             trust=trust_init("normal_edge", ladder)))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .core import FilterState, PixelPoint
+from .core import FilterState
 
 # panel color map: normal circles green, rebel circles red, ignored yellow,
 # squares magenta

@@ -9,7 +9,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from geofilter import circle_expert as ce
 from geofilter import square_expert as se

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import pytest
@@ -7,8 +6,7 @@ from hypothesis import strategies as st
 
 from geofilter import circle_expert as ce
 from geofilter.core import (Circle, ImuSample, NormalEdge, PixelPoint,
-                            RebelAlignmentRow, RebelEdge, default_config,
-                            wrap_deg)
+                            RebelEdge, default_config, wrap_deg)
 from geofilter.kinematics import angle_of
 
 CFG = default_config()

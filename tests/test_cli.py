@@ -179,7 +179,40 @@ class TestRun:
         assert rc == 2
         assert f"{target}:{line}:" in err and "finite" in err
         assert "Traceback" not in err
-        assert not (out / "state.jsonl").exists()
+        assert not out.exists()
+
+    def test_empty_frames_exits_2_without_output(self, dataset, tmp_path,
+                                                 capsys):
+        frames = dataset / "frames.jsonl"
+        frames.write_text("")
+        out = tmp_path / "run"
+        rc = cli.main(["run", "--frames", str(frames),
+                       "--imu", str(dataset / "imu.jsonl"),
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {frames}: no frames" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_fractional_integer_key_exits_2_naming_its_line(
+            self, dataset, tmp_path, capsys):
+        config = dataset / "config.txt"
+        lines = config.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1)
+                      if line.startswith("psi_lifetime="))
+        lines[lineno - 1] = "psi_lifetime=1.9"
+        config.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        rc = cli.main(["run", "--frames", str(dataset / "frames.jsonl"),
+                       "--imu", str(dataset / "imu.jsonl"),
+                       "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert (f"error: line {lineno}: bad value for psi_lifetime: '1.9'"
+                in err)
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
     def test_bad_threshold_exits_2(self, dataset, tmp_path, capsys,

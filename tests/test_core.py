@@ -169,12 +169,9 @@ class TestConfig:
         assert config_from_text(config_to_text(c)) == c
 
     def test_round_trip_non_default(self):
-        text = config_to_text(default_config()).replace(
-            "mu_0=25", "mu_0=30").replace("use_verbatim_eq1=0",
-                                          "use_verbatim_eq1=1")
+        text = config_to_text(default_config()).replace("mu_0=25", "mu_0=30")
         c = config_from_text(text)
         assert c.mu_0 == 30.0
-        assert c.use_verbatim_eq1 is True
         assert config_from_text(config_to_text(c)) == c
 
     def test_round_trip_keeps_every_digit(self):
@@ -185,6 +182,28 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="line 2: unknown key 'mu_O'"):
             config_from_text("mu_0=25\nmu_O=12\n")
+
+    def test_eq1_switch_is_an_unknown_key(self):
+        # the flow always uses wx; config files that still set the switch
+        # are rejected
+        with pytest.raises(ValueError,
+                           match="line 3: unknown key 'use_verbatim_eq1'"):
+            config_from_text("mu_0=25\n# eq. 1\nuse_verbatim_eq1=1\n")
+
+    @pytest.mark.parametrize("text,line,key,value", [
+        ("psi_lifetime=1.9\ntr_c_c=2.7", 1, "psi_lifetime", "1.9"),
+        ("psi_lifetime=2\ntr_c_c=2.7", 2, "tr_c_c", "2.7"),
+        ("tr_s_m=7.5", 1, "tr_s_m", "7.5"),
+    ])
+    def test_integer_key_rejects_fraction(self, text, line, key, value):
+        with pytest.raises(ValueError) as info:
+            config_from_text(text)
+        assert str(info.value) == f"line {line}: bad value for {key}: {value!r}"
+
+    def test_integer_key_accepts_integral_float(self):
+        c = config_from_text("psi_lifetime=3.0\ntr_c_m=6e0")
+        assert c.psi_lifetime == 3 and type(c.psi_lifetime) is int
+        assert c.circle_trust.tr_m == 6
 
     def test_bad_value_reports_line(self):
         with pytest.raises(ValueError, match="line 1"):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -33,24 +32,11 @@ class TestRotateMotionField:
         assert out.x == pytest.approx(319.4, abs=1e-12)
         assert out.y == pytest.approx(225.3, abs=1e-12)
 
-    def test_golden_verbatim(self):
-        out = rotate_motion_field(PixelPoint(10.0, -20.0), CAM,
-                                  (0.01, -0.02, 0.03), verbatim=True)
-        assert out.x == pytest.approx(319.4, abs=1e-12)
-        assert out.y == pytest.approx(225.324, abs=1e-12)
-
     def test_golden_second_point(self):
         out = rotate_motion_field(PixelPoint(-37.5, 12.25), CAM,
                                   (-0.004, 0.013, -0.021))
         assert out.x == pytest.approx(288.7098625, abs=1e-9)
         assert out.y == pytest.approx(251.02675675, abs=1e-9)
-
-    def test_variants_agree_when_wx_equals_wy(self):
-        # the corrected and printed forms differ only in the y-row last factor
-        p = PixelPoint(50.0, -30.0)
-        w = (0.015, 0.015, -0.01)
-        assert rotate_motion_field(p, CAM, w) == \
-            rotate_motion_field(p, CAM, w, verbatim=True)
 
     @given(finite, finite, st.floats(min_value=-0.05, max_value=0.05))
     def test_pure_roll_is_shear_only(self, x, y, wz):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geofilter.core import IgnoranceRegion, PixelPoint
@@ -128,6 +128,8 @@ class TestApplyIgnorance:
         st.floats(min_value=1, max_value=60),
         st.sampled_from([1, 2])), max_size=5))
     @settings(max_examples=50)
+    # outside the circle by the squared test, on it by hypot
+    @example([PixelPoint(0.6, 0.8000000000000002)], [(0.0, 0.0, 1.0, 1.0, 1)])
     def test_matches_contains_oracle(self, pts, regions):
         psi = [IgnoranceRegion(loc=PixelPoint(x, y),
                                extent=(rx,) if ty == 1 else (rx, ry), ty=ty,

@@ -18,10 +18,6 @@ class TestBaselineStore:
     def test_last_k(self):
         assert baseline_store("last_k", [3, 5, 2, 4], k=2) == [3, 8, 7, 6]
 
-    def test_accepts_sequences(self):
-        frames = [[PixelPoint(0, 0)] * 3, [PixelPoint(0, 0)] * 2]
-        assert baseline_store("accumulative", frames) == [3, 5]
-
     def test_rejects_bad_mode_and_k(self):
         with pytest.raises(ValueError):
             baseline_store("nope", [1])

@@ -1,9 +1,7 @@
-import math
-
 import pytest
 
 from geofilter.core import CameraModel, PixelPoint
-from geofilter.scene_synth import MoverSpec, SceneSpec, SceneTruth, generate
+from geofilter.scene_synth import MoverSpec, SceneSpec, generate
 
 CAM = CameraModel(f=500.0, principal=PixelPoint(320.0, 240.0))
 
