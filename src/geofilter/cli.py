@@ -24,7 +24,8 @@ def _load_config(path: Optional[str]):
 
 
 def read_pgm(path: Path):
-    """Binary (P5) PGM reader."""
+    """Binary (P5) PGM reader for 8-bit images (maxval at most 255). A file
+    it cannot read raises ValueError naming the file."""
     import numpy as np
     data = path.read_bytes()
     if not data.startswith(b"P5"):
@@ -38,12 +39,24 @@ def read_pgm(path: Path):
             while pos < len(data) and data[pos] != 0x0A:
                 pos += 1
             continue
+        if pos >= len(data):
+            raise ValueError(f"{path}: PGM header cut short")
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         fields.append(data[start:pos])
-    width, height, _maxval = (int(f) for f in fields)
+    for field in fields:
+        if not field.isdigit():
+            raise ValueError(f"{path}: bad PGM header field {field!r}")
+    width, height, maxval = (int(f) for f in fields)
+    if not 0 < maxval <= 255:
+        raise ValueError(f"{path}: PGM maxval {maxval} is not in 1..255; "
+                         f"only 8-bit images are read")
     pos += 1
+    if len(data) - pos < width * height:
+        raise ValueError(f"{path}: PGM pixel data cut short: "
+                         f"{max(len(data) - pos, 0)} of {width * height} "
+                         f"bytes")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     return pixels.reshape(height, width)
 

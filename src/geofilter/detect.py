@@ -6,7 +6,8 @@ are brighter than I_p + t, or at least 9 darker than I_p - t. One pass over
 the 16 shifted planes counts both per pixel; only the pixels that reach 9
 (the candidates) get their ring gathered; window sums over the cumulative sum
 of the doubled ring then give every arc's test and score at once. The scores
-are scattered back into the frame for the 3x3 suppression.
+are scattered back into the frame for the 3x3 suppression, which keeps every
+pixel of an equal-score plateau; each plateau then yields one detection.
 """
 
 from __future__ import annotations
@@ -36,10 +37,52 @@ def _arc_sums(values: np.ndarray) -> np.ndarray:
     return cum[:, 9:25] - cum[:, :16]
 
 
+def _one_per_plateau(ys: np.ndarray, xs: np.ndarray, width: int) -> np.ndarray:
+    """Indices, ascending, of one pixel per 8-connected group of the pixels
+    (ys, xs), given in row-major order in a raster `width` wide: the member
+    nearest the group's centroid, ties to the first in row-major order."""
+    flat = ys * width + xs
+    # each neighbour pair once: right, down-left, down and down-right
+    a_parts, b_parts = [], []
+    for off, dx in ((1, 1), (width - 1, -1), (width, 0), (width + 1, 1)):
+        j = np.minimum(np.searchsorted(flat, flat + off), len(flat) - 1)
+        hit = (flat[j] == flat + off) & (0 <= xs + dx) & (xs + dx < width)
+        a_parts.append(np.nonzero(hit)[0])
+        b_parts.append(j[hit])
+    a, b = np.concatenate(a_parts), np.concatenate(b_parts)
+    # min-label propagation: each pixel takes the smallest label among its
+    # neighbours, then its label's label, until no label changes; every label
+    # is a member of its group and no larger than the pixel's own index, so
+    # each group ends labelled by its first member
+    labels = np.arange(len(flat))
+    while True:
+        low = np.minimum(labels[a], labels[b])
+        new = labels.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    # n * |p - centroid|**2 minus a per-group constant: with n members
+    # summing to (sx, sy), n * (x*x + y*y) - 2 * (x*sx + y*sy), exact in
+    # int64 while 6 * side**4 does (rasters under 35,000 px a side)
+    n = np.bincount(labels)[labels]
+    sx = np.bincount(labels, weights=xs).astype(np.int64)[labels]
+    sy = np.bincount(labels, weights=ys).astype(np.int64)[labels]
+    key = n * (xs * xs + ys * ys) - 2 * (xs * sx + ys * sy)
+    order = np.lexsort((key, labels))  # stable: ties keep row-major order
+    _, first = np.unique(labels[order], return_index=True)
+    return np.sort(order[first])
+
+
 def detect_fast9(image: np.ndarray, threshold: float = 20.0) -> List[PixelPoint]:
     """Corners where at least 9 contiguous circle pixels are all brighter than
     I_p + t or all darker than I_p - t, after 3x3 non-maximal suppression on
-    the contiguous-arc SAD score, in row-major order."""
+    the contiguous-arc SAD score, in row-major order. Two adjacent survivors
+    of the suppression have equal scores, so each 8-connected group of them
+    is one plateau, and only its pixel nearest the group's centroid is kept
+    (ties to the first in row-major order)."""
     img = np.asarray(image, dtype=np.int32)
     if img.ndim != 2 or img.shape[0] < 7 or img.shape[1] < 7:
         raise ValueError("image must be a 2D raster of at least 7x7")
@@ -88,5 +131,7 @@ def detect_fast9(image: np.ndarray, threshold: float = 20.0) -> List[PixelPoint]
                               1 + dx:padded.shape[1] - 1 + dx]
             keep &= score >= neighbor
     ys, xs = np.nonzero(keep)
+    kept = _one_per_plateau(ys, xs, core_w)
+    ys, xs = ys[kept], xs[kept]
     return [PixelPoint(float(x + 3), float(y + 3))
             for y, x in zip(ys.tolist(), xs.tolist())]

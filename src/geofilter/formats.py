@@ -28,7 +28,7 @@ class FrameFormatError(ValueError):
 
 def parse_frames(path: Union[str, Path]) -> Iterator[Tuple[int, List[PixelPoint]]]:
     """Stream (frame_index, edges) records from a JSONL file.  Frame indices
-    must be strictly increasing and coordinates finite."""
+    must be non-negative and strictly increasing, and coordinates finite."""
     last = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -41,6 +41,9 @@ def parse_frames(path: Union[str, Path]) -> Iterator[Tuple[int, List[PixelPoint]
                 edges = [PixelPoint(float(x), float(y)) for x, y in rec["edges"]]
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise FrameFormatError(f"{path}:{lineno}: malformed frame record: {exc}")
+            if frame < 0:
+                raise FrameFormatError(
+                    f"{path}:{lineno}: negative frame index {frame}")
             if not all(math.isfinite(p.x) and math.isfinite(p.y) for p in edges):
                 raise FrameFormatError(
                     f"{path}:{lineno}: non-finite edge coordinate in frame {frame}")

@@ -72,7 +72,8 @@ def generate(seed: int, spec: SceneSpec) -> SceneTruth:
     z_cam = 0.0
     v = spec.v_v
     for k in range(spec.frames):
-        omega = tuple(rng.normal(0.0, spec.omega_noise, 3)) \
+        # plain floats, as `formats.parse_imu` gives them to `run`
+        omega = tuple(rng.normal(0.0, spec.omega_noise, 3).tolist()) \
             if spec.omega_noise > 0 else (0.0, 0.0, 0.0)
         imu.append(ImuSample(v_v=v, a_v=spec.a_v, omega=omega, t_f=spec.t_f))
         depth = zs - z_cam

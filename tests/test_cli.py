@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,19 @@ class TestReadPgm:
         with pytest.raises(ValueError, match="not a binary PGM"):
             cli.read_pgm(path)
 
+
+    @pytest.mark.parametrize("data,message", [
+        (b"P5\n# comment\n12 ", "PGM header cut short"),
+        (b"P5\n12 x7\n255\n", "bad PGM header field b'x7'"),
+        (b"P5\n4 3\n255\n" + bytes(11), "PGM pixel data cut short: 11 of 12"),
+        (b"P5\n4 3\n65535\n" + bytes(24), "PGM maxval 65535 is not in 1..255"),
+    ])
+    def test_rejects_bad_pgm_naming_the_file(self, tmp_path, data, message):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                             f"{re.escape(message)}"):
+            cli.read_pgm(path)
 
 class TestSynth:
     def test_writes_dataset(self, dataset):
@@ -211,6 +225,41 @@ class TestRun:
         assert rc == 2
         assert (f"error: line {lineno}: bad value for psi_lifetime: '1.9'"
                 in err)
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_frame_index_exits_2_naming_the_line(
+            self, dataset, tmp_path, capsys):
+        frames = dataset / "frames.jsonl"
+        frames.write_text('{"frame": -1, "edges": [[10.0, 20.0]]}\n')
+        out = tmp_path / "run"
+        rc = cli.main(["run", "--frames", str(frames),
+                       "--imu", str(dataset / "imu.jsonl"),
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {frames}:1: negative frame index -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data,message", [
+        (b"P5\n640", "PGM header cut short"),
+        (b"P5\n640 480\n255\n" + bytes(1000), "PGM pixel data cut short"),
+        (b"P5\n640 480\n65535\n" + bytes(2 * 640 * 480),
+         "PGM maxval 65535 is not in 1..255"),
+    ])
+    def test_bad_image_exits_2_naming_the_file(self, dataset, tmp_path,
+                                               capsys, data, message):
+        imgdir = tmp_path / "imgs"
+        imgdir.mkdir()
+        (imgdir / "000002.pgm").write_bytes(data)
+        out = tmp_path / "run"
+        rc = cli.main(["run", "--frames", str(dataset / "frames.jsonl"),
+                       "--imu", str(dataset / "imu.jsonl"),
+                       "--images", str(imgdir), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {imgdir / '000002.pgm'}: {message}" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -1,8 +1,9 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -35,15 +36,38 @@ def _segment_test(img, x, y, t):
 def _fast9_oracle(img, t):
     """Pure-Python FAST-9: segment test, arc score, then 3x3 non-maximal
     suppression that keeps a corner whose score is at least every
-    neighbouring corner's (ties all survive), in row-major order."""
+    neighbouring corner's (ties all survive). Each 8-connected group of
+    survivors, found by flood fill, yields its member nearest the group's
+    exact centroid, ties to the first in row-major order; the kept pixels
+    come in row-major order."""
     img = np.asarray(img).astype(int)
     h, w = img.shape
     score = {(x, y): s for y in range(3, h - 3) for x in range(3, w - 3)
              if (s := _arc_score(img, x, y, t)) is not None}
-    return [PixelPoint(float(x), float(y)) for (x, y), s in sorted(
-                score.items(), key=lambda item: (item[0][1], item[0][0]))
-            if all(s >= score.get((x + dx, y + dy), 0)
-                   for dx in (-1, 0, 1) for dy in (-1, 0, 1))]
+    survivors = {(x, y) for (x, y), s in score.items()
+                 if all(s >= score.get((x + dx, y + dy), 0)
+                        for dx in (-1, 0, 1) for dy in (-1, 0, 1))}
+    kept, seen = [], set()
+    for start in sorted(survivors, key=lambda p: (p[1], p[0])):
+        if start in seen:
+            continue
+        group, todo = [], [start]
+        seen.add(start)
+        while todo:
+            x, y = todo.pop()
+            group.append((x, y))
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    q = (x + dx, y + dy)
+                    if q in survivors and q not in seen:
+                        seen.add(q)
+                        todo.append(q)
+        cx = Fraction(sum(x for x, _ in group), len(group))
+        cy = Fraction(sum(y for _, y in group), len(group))
+        kept.append(min(group, key=lambda p: ((p[0] - cx) ** 2
+                                              + (p[1] - cy) ** 2, p[1], p[0])))
+    return [PixelPoint(float(x), float(y))
+            for x, y in sorted(kept, key=lambda p: (p[1], p[0]))]
 
 
 def _marks(shape, centers):
@@ -51,6 +75,19 @@ def _marks(shape, centers):
     img = np.full(shape, 40, dtype=np.uint8)
     for x, y in centers:
         img[max(0, y - 1):y + 2, max(0, x - 1):x + 2] = 200
+    return img
+
+
+def _lines(shape, background, lines):
+    """Straight lines (x0, y0, x1, y1, width, intensity) on a flat
+    background, each a run of width x width squares from end to end."""
+    img = np.full(shape, background, dtype=np.uint8)
+    for x0, y0, x1, y1, width, value in lines:
+        n = max(abs(x1 - x0), abs(y1 - y0))
+        for i in range(n + 1):
+            x = x0 + round((x1 - x0) * i / max(n, 1))
+            y = y0 + round((y1 - y0) * i / max(n, 1))
+            img[y:y + width, x:x + width] = value
     return img
 
 
@@ -62,7 +99,7 @@ GOLDEN_SCENE = SceneSpec(
                        width=320.0, height=240.0),
     depth_range=(150.0, 2000.0), lateral_range=(-400.0, 400.0))
 GOLDEN_DETECTIONS = (
-    "9510c77debdc178f7a8d64f3d048964eab573d8c15b15bcb431a0bdb7d0399cd")
+    "2ef90ac724f7811c8623480ee99558e87243e60ed39978c6f23c56c0a6f6021f")
 
 
 class TestDetectFast9:
@@ -160,6 +197,54 @@ class TestDetectFast9:
     def test_equals_oracle_on_sparse_marks(self, centers, t):
         # equal-score plateaus: every pixel of an isolated mark ties
         img = _marks((20, 24), centers)
+        assert detect_fast9(img, t) == _fast9_oracle(img, t)
+
+    @pytest.mark.parametrize("center", [(4, 4), (11, 9), (19, 15), (12, 4)])
+    @pytest.mark.parametrize("t", [0.0, 20.0, 60.0])
+    def test_isolated_mark_gives_its_centre(self, center, t):
+        # the nine pixels of a 3x3 mark tie; only the centre is kept
+        assert detect_fast9(_marks((20, 24), [center]), t) == [
+            PixelPoint(float(center[0]), float(center[1]))]
+
+    @pytest.mark.parametrize("centers,expected", [
+        # cut by the 3-pixel border: one column, or a 2x2 corner, is left
+        ([(2, 9)], [(3, 9)]),
+        ([(3, 3)], [(3, 3)]),
+        ([(20, 16)], [(19, 15)]),
+        ([(1, 1)], []),
+        # touching marks make one plateau, so one detection
+        ([(8, 9), (11, 9)], [(9, 9)]),
+        ([(8, 8), (10, 10)], [(9, 8)]),
+        ([(8, 8), (11, 8), (8, 11), (11, 11)], [(8, 8)]),
+        # one background pixel apart: two plateaus
+        ([(8, 9), (12, 9)], [(8, 9), (12, 9)]),
+    ])
+    def test_marks_at_the_border_or_touching(self, centers, expected):
+        img = _marks((20, 24), centers)
+        got = detect_fast9(img, 20.0)
+        assert got == [PixelPoint(float(x), float(y)) for x, y in expected]
+        assert got == _fast9_oracle(img, 20.0)
+
+    def test_long_plateau_gives_one_detection(self):
+        # 16 equal-score survivors strung along a one-pixel line of slope
+        # 12/23, 15 px end to end
+        img = _lines((24, 24), 40, [(0, 0, 23, 12, 1, 200)])
+        assert detect_fast9(img, 15.0) == [PixelPoint(12.0, 6.0)]
+        assert detect_fast9(img, 15.0) == _fast9_oracle(img, 15.0)
+
+    @given(st.integers(0, 255),
+           st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23),
+                              st.integers(0, 23), st.integers(0, 23),
+                              st.integers(1, 3), st.integers(0, 255)),
+                    min_size=1, max_size=3),
+           st.sampled_from([0.0, 15.0]))
+    @settings(max_examples=60, deadline=None)
+    @example(40, [(0, 0, 23, 12, 1, 200)], 15.0)
+    @example(200, [(0, 0, 12, 23, 1, 40)], 0.0)
+    def test_equals_oracle_on_lines(self, background, lines, t):
+        # thin lines at shallow slopes string equal-score survivors into
+        # plateaus far longer than a mark
+        img = _lines((24, 24), background, lines)
         assert detect_fast9(img, t) == _fast9_oracle(img, t)
 
     def test_golden_detections_on_rendered_scene(self):

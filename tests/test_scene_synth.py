@@ -46,6 +46,12 @@ class TestGenerate:
         assert all(s.v_v == 3.5 and s.t_f == 0.5 for s in truth.imu)
         assert all(s.omega == (0.0, 0.0, 0.0) for s in truth.imu)
 
+    def test_noisy_omega_is_plain_floats(self):
+        # what `run` gets from `formats.parse_imu`
+        truth = generate(0, _spec(omega_noise=0.002))
+        assert all(type(w) is float and w != 0.0
+                   for s in truth.imu for w in s.omega)
+
     def test_static_points_flow_outward(self):
         truth = generate(9, _spec(n_points=120, frames=6, v_v=4.0))
         # track object ids across consecutive frames: radial distance from the
