@@ -35,9 +35,9 @@ def classify_edge(obs_beta: float, at_origin: bool, dist: float,
 
     The observation is inside the prediction's radius when dist <= mu. It is
     in the error span when it sits on the principal point or its angle is
-    within delta_v of the prediction's (`kinematics.within_error_span`). Its
-    magnitude is consistent when the residual, re-expressed as a velocity, is
-    within eps_v_n times the vehicle speed.
+    within delta_v of the prediction's, boundary included. Its magnitude is
+    consistent when the residual, re-expressed as a velocity, is within
+    eps_v_n times the vehicle speed.
     """
     in_span = (at_origin or abs(wrap_deg(obs_beta - predicted.beta))
                <= config.delta_v)

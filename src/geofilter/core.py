@@ -187,12 +187,6 @@ class IgnoranceRegion:
         if self.ty not in (1, 2):
             raise ValueError("ignorance region type must be 1 or 2")
 
-    def contains(self, p: PixelPoint) -> bool:
-        dx, dy = p.x - self.loc.x, p.y - self.loc.y
-        if self.ty == 1:
-            return dx * dx + dy * dy <= self.extent[0] ** 2
-        return abs(dx) <= self.extent[0] and abs(dy) <= self.extent[1]
-
 
 @dataclass
 class RebelAlignmentRow:

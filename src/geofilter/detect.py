@@ -1,13 +1,20 @@
 """Minimal FAST-9 corner detector: full segment test on the 16-pixel
 Bresenham circle with non-maximal suppression by arc score.
 
-A pixel can only pass the segment test if at least 9 of its 16 ring pixels
-are brighter than I_p + t, or at least 9 darker than I_p - t. One pass over
-the 16 shifted planes counts both per pixel; only the pixels that reach 9
-(the candidates) get their ring gathered; window sums over the cumulative sum
-of the doubled ring then give every arc's test and score at once. The scores
-are scattered back into the frame for the 3x3 suppression, which keeps every
-pixel of an equal-score plateau; each plateau then yields one detection.
+Pixels are integers, so a ring pixel p is brighter than the centre c when
+p - c > t, which is p - c > floor(t), and darker when c - p > floor(t). Every
+comparison is made in integers: a uint8 frame is screened in uint8 and its
+differences taken in int16; any other image is read as int32 and handled in
+int64. Every 9-pixel arc holds two neighbouring compass pixels (ring
+positions 0 and 4, 4 and 8, 8 and 12, or 12 and 0), so one pass over those
+four shifted planes finds the candidates. Only these get their 16 ring
+differences gathered, by one flat `take`, and sums over 2, 4, 8 and then 9
+neighbours of the doubled ring give every arc's test and score at once.
+
+A pixel that is not a corner scores 0, so the 3x3 suppression compares each
+corner with its 8 neighbours only, read by index from a zeroed flat frame
+that holds the corners' scores. It keeps every pixel of an equal-score
+plateau; each 8-connected plateau then yields one detection.
 """
 
 from __future__ import annotations
@@ -25,48 +32,54 @@ CIRCLE16 = ((0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
             (-1, -3))
 
 
-def _arc_sums(values: np.ndarray) -> np.ndarray:
-    """(N, 16) sums over the 9-pixel arcs of (N, 16) ring values, one column
-    per start. They are accumulated in int32, which holds 24 summands of
-    less than 2**31 / 24 each: exact for any image whose values span less
-    than that (every 8- and 16-bit image). int64 sums raised the benchmark's
-    peak memory by about 3 MB."""
-    doubled = np.concatenate([values, values[:, :8]], axis=1)
-    cum = np.zeros((len(values), 25), dtype=np.int32)
-    np.cumsum(doubled, axis=1, dtype=np.int32, out=cum[:, 1:])
-    return cum[:, 9:25] - cum[:, :16]
+def _arc_sums(values: np.ndarray, dtype) -> np.ndarray:
+    """(16, N) sums over the 9-pixel arcs of (16, N) ring values, one row per
+    start, in `dtype`, which must hold 9 summands: sums of 2, then 4, then 8
+    neighbouring rows of the doubled ring, then the ninth row."""
+    ring = np.concatenate([values, values[:8]]).astype(dtype, copy=False)
+    two = ring[:-1] + ring[1:]
+    four = two[:-2] + two[2:]
+    eight = four[:-4] + four[4:]
+    return eight[:16] + ring[8:]
 
 
-def _one_per_plateau(ys: np.ndarray, xs: np.ndarray, width: int) -> np.ndarray:
+def _one_per_plateau(at: np.ndarray, shape: tuple) -> np.ndarray:
     """Indices, ascending, of one pixel per 8-connected group of the pixels
-    (ys, xs), given in row-major order in a raster `width` wide: the member
-    nearest the group's centroid, ties to the first in row-major order."""
-    flat = ys * width + xs
-    # each neighbour pair once: right, down-left, down and down-right
+    at the ascending flat indices `at` of a raster of `shape`, none of them
+    on its outermost rows or columns: the member nearest the group's
+    centroid, ties to the first in row-major order."""
+    m, w = len(at), shape[1]
+    # each neighbour pair (i, j), i < j, once: right, down-left, down and
+    # down-right, found through a flat map from pixel to index
+    index = np.full(shape[0] * w, -1, dtype=np.int32)
+    index[at] = np.arange(m)
     a_parts, b_parts = [], []
-    for off, dx in ((1, 1), (width - 1, -1), (width, 0), (width + 1, 1)):
-        j = np.minimum(np.searchsorted(flat, flat + off), len(flat) - 1)
-        hit = (flat[j] == flat + off) & (0 <= xs + dx) & (xs + dx < width)
-        a_parts.append(np.nonzero(hit)[0])
-        b_parts.append(j[hit])
+    for off in (1, w - 1, w, w + 1):
+        j = index.take(at + off)
+        a_parts.append(np.flatnonzero(j >= 0))
+        b_parts.append(j[j >= 0])
     a, b = np.concatenate(a_parts), np.concatenate(b_parts)
-    # min-label propagation: each pixel takes the smallest label among its
-    # neighbours, then its label's label, until no label changes; every label
-    # is a member of its group and no larger than the pixel's own index, so
+    # labels point to a smaller or equal index in the same group; each round
+    # hooks the root of every pair's larger label onto the smaller label and
+    # then jumps every label to its root, until all pairs agree, so that
     # each group ends labelled by its first member
-    labels = np.arange(len(flat))
+    labels = np.arange(m)
     while True:
-        low = np.minimum(labels[a], labels[b])
-        new = labels.copy()
-        np.minimum.at(new, a, low)
-        np.minimum.at(new, b, low)
-        new = new[new]
-        if np.array_equal(new, labels):
+        la, lb = labels[a], labels[b]
+        split = la != lb
+        if not split.any():
             break
-        labels = new
+        np.minimum.at(labels, np.maximum(la, lb)[split],
+                      np.minimum(la, lb)[split])
+        while True:
+            root = labels[labels]
+            if np.array_equal(root, labels):
+                break
+            labels = root
     # n * |p - centroid|**2 minus a per-group constant: with n members
     # summing to (sx, sy), n * (x*x + y*y) - 2 * (x*sx + y*sy), exact in
     # int64 while 6 * side**4 does (rasters under 35,000 px a side)
+    ys, xs = np.divmod(at, w)
     n = np.bincount(labels)[labels]
     sx = np.bincount(labels, weights=xs).astype(np.int64)[labels]
     sy = np.bincount(labels, weights=ys).astype(np.int64)[labels]
@@ -83,55 +96,64 @@ def detect_fast9(image: np.ndarray, threshold: float = 20.0) -> List[PixelPoint]
     of the suppression have equal scores, so each 8-connected group of them
     is one plateau, and only its pixel nearest the group's centroid is kept
     (ties to the first in row-major order)."""
-    img = np.asarray(image, dtype=np.int32)
+    image = np.asarray(image)
+    narrow = image.dtype == np.uint8
+    # uint8 frames are screened as they are, and their differences (and
+    # sums of 9) fit int16; any other image is read as int32, then int64
+    img = (image if narrow
+           else np.asarray(image, dtype=np.int32).astype(np.int64))
     if img.ndim != 2 or img.shape[0] < 7 or img.shape[1] < 7:
         raise ValueError("image must be a 2D raster of at least 7x7")
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and non-negative, "
                          f"got {threshold!r}")
-    core_h, core_w = img.shape[0] - 6, img.shape[1] - 6
+    work = np.int16 if narrow else np.int64
+    # no difference exceeds the value range, so a larger t passes nothing
+    t = min(math.floor(threshold), 255 if narrow else 2 ** 32)
+    h, w = img.shape
+
+    # candidates; a bound beyond the pixel type's range is clamped to its
+    # end, which no pixel passes either
+    info = np.iinfo(img.dtype)
     center = img[3:-3, 3:-3]
-    hi = center + threshold
-    lo = center - threshold
-    n_bright = np.zeros((core_h, core_w), dtype=np.uint8)
-    n_dark = np.zeros((core_h, core_w), dtype=np.uint8)
-    for dx, dy in CIRCLE16:
-        plane = img[3 + dy:3 + dy + core_h, 3 + dx:3 + dx + core_w]
-        n_bright += plane > hi
-        n_dark += plane < lo
-    ys, xs = np.nonzero((n_bright >= 9) | (n_dark >= 9))
+    hi = np.minimum(center, info.max - t) + img.dtype.type(t)
+    lo = np.maximum(center, info.min + t) - img.dtype.type(t)
+    compass = [img[3 + dy:h - 3 + dy, 3 + dx:w - 3 + dx]
+               for dx, dy in CIRCLE16[::4]]
 
-    # segment test and arc score on the candidates' (N, 16) rings: window
-    # sums over the cumulative sum of the doubled ring give, for each of the
-    # 16 starts, how many of the 9 arc pixels are bright or dark and their
-    # summed |ring - center|
-    ring = np.stack([img[ys + 3 + dy, xs + 3 + dx] for dx, dy in CIRCLE16],
-                    axis=1)
-    c = center[ys, xs][:, None]
-    bright_win = _arc_sums(ring > c + threshold)
-    dark_win = _arc_sums(ring < c - threshold)
-    diff_win = _arc_sums(np.abs(ring - c))
-    ok = (bright_win == 9) | (dark_win == 9)
-    cand_corner = ok.any(axis=1)
-    cand_score = np.where(ok, diff_win, 0).max(axis=1)
-    score = np.zeros((core_h, core_w), dtype=np.int64)
-    is_corner = np.zeros((core_h, core_w), dtype=bool)
-    score[ys, xs] = cand_score
-    is_corner[ys, xs] = cand_corner
+    def neighbouring_compass_pair(passes, bound):
+        either = passes(compass[0], bound)
+        either |= passes(compass[2], bound)
+        other = passes(compass[1], bound)
+        other |= passes(compass[3], bound)
+        either &= other
+        return either
 
-    # non-maximal suppression over the 3x3 neighborhood
-    padded = np.zeros((score.shape[0] + 2, score.shape[1] + 2), dtype=np.int64)
-    padded[1:-1, 1:-1] = np.where(is_corner, score, 0)
-    keep = is_corner.copy()
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            neighbor = padded[1 + dy:padded.shape[0] - 1 + dy,
-                              1 + dx:padded.shape[1] - 1 + dx]
-            keep &= score >= neighbor
-    ys, xs = np.nonzero(keep)
-    kept = _one_per_plateau(ys, xs, core_w)
-    ys, xs = ys[kept], xs[kept]
-    return [PixelPoint(float(x + 3), float(y + 3))
-            for y, x in zip(ys.tolist(), xs.tolist())]
+    cand = np.zeros((h, w), dtype=bool)
+    cand[3:-3, 3:-3] = (neighbouring_compass_pair(np.greater, hi)
+                        | neighbouring_compass_pair(np.less, lo))
+    at = np.flatnonzero(cand)  # row-major flat indices of the candidates
+
+    # segment test and arc score on the candidates' (16, N) ring differences:
+    # a 9-arc is all brighter (all darker) where its signs sum to 9 (-9)
+    flat = img.ravel()
+    ring = np.array([dy * w + dx for dx, dy in CIRCLE16])[:, None]
+    diff = (flat.take(ring + at).astype(work, copy=False)
+            - flat.take(at).astype(work, copy=False))
+    sign = (diff > t).view(np.int8) - (diff < -t).view(np.int8)
+    ok = np.abs(_arc_sums(sign, np.int8)) == 9
+    score = (_arc_sums(np.abs(diff), work) * ok).max(axis=0)
+
+    # non-maximal suppression over the 3x3 neighborhood: a passing arc's
+    # pixels each differ by at least 1, so corners are where score > 0
+    corner = score > 0
+    at, score = at[corner], score[corner]
+    scores = np.zeros(h * w, dtype=score.dtype)
+    scores[at] = score
+    keep = np.ones(len(at), dtype=bool)
+    for off in (-w - 1, -w, 1 - w, -1, 1, w - 1, w, w + 1):
+        keep &= score >= scores.take(at + off)
+    at = at[keep]
+    ys, xs = np.divmod(at[_one_per_plateau(at, (h, w))], w)
+    return list(map(PixelPoint, xs.astype(float).tolist(),
+                    ys.astype(float).tolist()))

@@ -26,6 +26,16 @@ class FrameFormatError(ValueError):
     pass
 
 
+def _frame_index(value) -> int:
+    """A record's frame index: an integer, or a float without a fraction.
+    A boolean or a fractional index raises ValueError instead of being
+    truncated."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"frame index must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_frames(path: Union[str, Path]) -> Iterator[Tuple[int, List[PixelPoint]]]:
     """Stream (frame_index, edges) records from a JSONL file.  Frame indices
     must be non-negative and strictly increasing, and coordinates finite."""
@@ -37,7 +47,7 @@ def parse_frames(path: Union[str, Path]) -> Iterator[Tuple[int, List[PixelPoint]
                 continue
             try:
                 rec = json.loads(line)
-                frame = int(rec["frame"])
+                frame = _frame_index(rec["frame"])
                 edges = [PixelPoint(float(x), float(y)) for x, y in rec["edges"]]
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise FrameFormatError(f"{path}:{lineno}: malformed frame record: {exc}")
@@ -74,7 +84,7 @@ def parse_imu(path: Union[str, Path], n_frames: Optional[int] = None
                 continue
             try:
                 rec = json.loads(line)
-                records[int(rec["frame"])] = ImuSample(
+                records[_frame_index(rec["frame"])] = ImuSample(
                     v_v=float(rec["v_v"]), a_v=float(rec["a_v"]),
                     omega=(float(rec["wx"]), float(rec["wy"]), float(rec["wz"])),
                     t_f=float(rec["t_f"]))

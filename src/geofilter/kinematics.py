@@ -72,13 +72,3 @@ def predict_normal_edge(e: NormalEdge, imu: ImuSample, config: FilterConfig) -> 
     ux, uy = outward(rel)
     loc = advance(rel, ux, uy, config.px_per_cm * v_pred * imu.t_f, imu, config)
     return NormalEdge(loc=loc, vel=v_pred, beta=e.beta, mu=e.mu, trust=e.trust)
-
-
-def within_error_span(candidate: PixelPoint, entity_origin: PixelPoint,
-                      entity_beta: float, delta_v: float) -> bool:
-    """True iff the candidate lies within the angular error cone of half-width
-    delta_v about the entity's motion direction (boundary inclusive)."""
-    if candidate.x == entity_origin.x and candidate.y == entity_origin.y:
-        return True
-    ang = angle_of(candidate, entity_origin)
-    return abs(wrap_deg(ang - entity_beta)) <= delta_v

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,19 +12,20 @@ from geofilter.core import CameraModel, PixelPoint
 from geofilter.detect import CIRCLE16, detect_fast9
 from geofilter.scene_synth import SceneSpec, generate
 
-THRESHOLDS = st.sampled_from([0.0, 15.0, 20.0, 60.0])
+THRESHOLDS = st.sampled_from([0.0, 15.0, 15.5, 20.0, 20.25, 60.0])
 
 
 def _arc_score(img, x, y, t):
     """Independent oracle: the largest sum of |ring - center| over a
-    contiguous 9-arc whose pixels are all brighter than center+t or all
-    darker than center-t, or None when no arc passes."""
+    contiguous 9-arc whose pixels all exceed center by more than t or all
+    fall short of it by more than t, or None when no arc passes. Python
+    compares the integer difference with the float t exactly."""
     c = int(img[y, x])
     ring = [int(img[y + dy, x + dx]) for dx, dy in CIRCLE16]
     best = None
     for start in range(16):
         arc = [ring[(start + k) % 16] for k in range(9)]
-        if all(v > c + t for v in arc) or all(v < c - t for v in arc):
+        if all(v - c > t for v in arc) or all(c - v > t for v in arc):
             score = sum(abs(v - c) for v in arc)
             best = score if best is None else max(best, score)
     return best
@@ -175,6 +177,15 @@ class TestDetectFast9:
     def test_equals_oracle_on_random_images(self, img, t):
         assert detect_fast9(img, t) == _fast9_oracle(img, t)
 
+    @given(arrays(np.uint8, (18, 18),
+                  elements=st.integers(min_value=60, max_value=140)),
+           st.sampled_from([math.nextafter(t, 0.0) for t in (1.0, 21.0, 40.0)]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_oracle_just_below_whole_thresholds(self, img, t):
+        # c + t rounds up to a whole number in float64 for these t; ring
+        # pixels exactly floor(t) + 1 above or below still count
+        assert detect_fast9(img, t) == _fast9_oracle(img, t)
+
     @given(arrays(np.uint16, (18, 18), elements=st.sampled_from(
                [0, 1, 30000, 65534, 65535])),
            st.sampled_from([0.0, 20.0, 30000.0]))
@@ -182,6 +193,14 @@ class TestDetectFast9:
     def test_equals_oracle_on_full_range_16_bit_images(self, img, t):
         # the arc sums are accumulated in int32; 24 differences of up to
         # 65535 still fit
+        assert detect_fast9(img, t) == _fast9_oracle(img, t)
+
+    @given(arrays(np.int32, (18, 18), elements=st.sampled_from(
+               [-2 ** 31, -2 ** 30, 0, 1, 2 ** 30, 2 ** 31 - 1])),
+           st.sampled_from([0.0, 20.0, 2.0 ** 31]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_oracle_on_full_range_32_bit_images(self, img, t):
+        # differences of int32 pixels and their arc sums are taken in int64
         assert detect_fast9(img, t) == _fast9_oracle(img, t)
 
     @given(arrays(np.uint8, (18, 18),

@@ -41,6 +41,20 @@ class TestFrames:
                            match=r"frames\.jsonl:2: non-finite"):
             list(formats.parse_frames(path))
 
+    @pytest.mark.parametrize("index", ["0.9", "1.5", "true", "false"])
+    def test_non_integer_frame_index_reports_line(self, tmp_path, index):
+        path = tmp_path / "frames.jsonl"
+        path.write_text('{"frame": 0, "edges": [[1, 2]]}\n'
+                        f'{{"frame": {index}, "edges": [[3, 4]]}}\n')
+        with pytest.raises(formats.FrameFormatError,
+                           match=r"frames\.jsonl:2: .*must be an integer"):
+            list(formats.parse_frames(path))
+
+    def test_whole_float_frame_index_accepted(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        path.write_text('{"frame": 2.0, "edges": [[1, 2]]}\n')
+        assert list(formats.parse_frames(path)) == [(2, [PixelPoint(1.0, 2.0)])]
+
     def test_non_monotonic_rejected(self, tmp_path):
         path = tmp_path / "frames.jsonl"
         path.write_text('{"frame": 1, "edges": []}\n'
@@ -85,6 +99,17 @@ class TestImu:
         path.write_text(json.dumps(rec) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(formats.FrameFormatError,
                            match=r"imu\.jsonl:2: .*finite"):
+            formats.parse_imu(path)
+
+    @pytest.mark.parametrize("index", [1.7, 0.5, True, False])
+    def test_non_integer_frame_index_reports_line(self, tmp_path, index):
+        rec = {"frame": 0, "v_v": 1.0, "a_v": 0, "wx": 0, "wy": 0, "wz": 0,
+               "t_f": 1.0}
+        path = tmp_path / "imu.jsonl"
+        path.write_text(json.dumps(rec) + "\n"
+                        + json.dumps(dict(rec, frame=index)) + "\n")
+        with pytest.raises(formats.FrameFormatError,
+                           match=r"imu\.jsonl:2: .*must be an integer"):
             formats.parse_imu(path)
 
     def test_malformed_reports_line(self, tmp_path):

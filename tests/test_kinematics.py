@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from geofilter.core import (CameraModel, ImuSample, NormalEdge, PixelPoint,
                             default_config)
 from geofilter.kinematics import (angle_of, predict_normal_edge,
-                                  rotate_motion_field, within_error_span)
+                                  rotate_motion_field)
+from oracles import within_error_span
 
 CAM = CameraModel(f=500.0, principal=PixelPoint(320.0, 240.0))
 

@@ -21,8 +21,9 @@ from geofilter import pipeline
 from geofilter import square_expert as se
 from geofilter.core import (Circle, ImuSample, NormalEdge, PixelPoint, Square,
                             default_config, wrap_deg)
-from geofilter.kinematics import angle_of, within_error_span
+from geofilter.kinematics import angle_of
 from geofilter.pipeline import _associate, _predict_circle
+from oracles import within_error_span
 
 CFG = default_config()
 ORIGIN = CFG.camera.principal
