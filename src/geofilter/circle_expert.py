@@ -8,9 +8,8 @@ import enum
 from dataclasses import replace
 from typing import List, Sequence, Tuple
 
-from .core import (Circle, FilterConfig, ImuSample, NormalEdge, PixelPoint,
-                   RebelAlignmentRow, RebelEdge, TrustLadder, trust_init,
-                   wrap_deg)
+from .core import (AlignmentRow, Circle, FilterConfig, ImuSample, NormalEdge,
+                   PixelPoint, RebelEdge, TrustLadder, trust_init, wrap_deg)
 from .kinematics import angle_of
 
 
@@ -55,7 +54,7 @@ def estimate_trusted(prior, measurement, trust: int, tr_c: int):
     w = trust - tr_c
     if w < 0:
         raise ValueError("trust below critical")
-    if isinstance(prior, PixelPoint):
+    if isinstance(prior, PixelPoint):  # before tuple: a PixelPoint is one
         return PixelPoint((w * prior.x + measurement.x) / (w + 1),
                           (w * prior.y + measurement.y) / (w + 1))
     if isinstance(prior, (tuple, list)):
@@ -102,10 +101,10 @@ def _chain_admissible(last: PixelPoint, candidate: PixelPoint,
     return abs(wrap_deg(move_dir - field_dir)) > config.delta_v
 
 
-def update_rebel_alignment(alpha: Sequence[RebelAlignmentRow],
+def update_rebel_alignment(alpha: Sequence[AlignmentRow],
                            candidates: Sequence[PixelPoint], frame_index: int,
                            config: FilterConfig, imu: ImuSample,
-                           ) -> Tuple[List[RebelAlignmentRow], List[RebelEdge],
+                           ) -> Tuple[List[AlignmentRow], List[RebelEdge],
                                       List[PixelPoint]]:
     """Advance the alignment matrix by one frame.
 
@@ -115,18 +114,18 @@ def update_rebel_alignment(alpha: Sequence[RebelAlignmentRow],
     a failed candidate so the caller can recycle it as a fresh landmark.
     """
     scale = config.px_per_cm * imu.t_f
-    new_alpha: List[RebelAlignmentRow] = []
+    new_alpha: List[AlignmentRow] = []
     rebels: List[RebelEdge] = []
     failed: List[PixelPoint] = []
     for row in alpha:
         extended = False
-        if row.last_frame() == frame_index - 1 and len(row.chain) < 3:
-            last = row.chain[-1][1]
+        last_frame, last = row[-1]
+        if last_frame == frame_index - 1 and len(row) < 3:
             for cand in candidates:
                 if not _chain_admissible(last, cand, config, imu):
                     continue
                 extended = True
-                chain = row.chain + [(frame_index, cand)]
+                chain = row + [(frame_index, cand)]
                 if len(chain) == 3:
                     p1, p2, p3 = (c[1] for c in chain)
                     rebels.append(RebelEdge(
@@ -138,11 +137,11 @@ def update_rebel_alignment(alpha: Sequence[RebelAlignmentRow],
                         trust=trust_init("rebel", config.circle_trust),
                     ))
                 else:
-                    new_alpha.append(RebelAlignmentRow(chain))
+                    new_alpha.append(chain)
         if not extended:
-            failed.append(row.chain[-1][1])
+            failed.append(last)
     for cand in candidates:
-        new_alpha.append(RebelAlignmentRow([(frame_index, cand)]))
+        new_alpha.append([(frame_index, cand)])
     return new_alpha, rebels, failed
 
 

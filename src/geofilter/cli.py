@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -92,6 +93,7 @@ def _cmd_synth(args) -> int:
     camera = CameraModel(f=args.focal, principal=PixelPoint(args.width / 2,
                                                             args.height / 2),
                          width=args.width, height=args.height)
+    config = replace(default_config(), camera=camera)
     movers = tuple(
         MoverSpec(start=(m[0], m[1]), velocity=(m[2], m[3]),
                   start_frame=int(m[4]))
@@ -100,7 +102,7 @@ def _cmd_synth(args) -> int:
                      v_v=args.speed, noise_sigma=args.noise, movers=movers)
     truth = generate(args.seed, spec)
     formats.write_scene(truth, out / "frames.jsonl", out / "imu.jsonl")
-    (out / "config.txt").write_text(config_to_text(default_config()))
+    (out / "config.txt").write_text(config_to_text(config))
     return 0
 
 
@@ -109,12 +111,9 @@ def _cmd_render(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     config = _load_config(args.config)
     cam = config.camera
-    with open(args.state) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            state = formats.state_from_dict(rec)
-            svg = render.render_frame_svg(state, cam.width, cam.height)
-            (out / f"frame_{rec['frame']:06d}.svg").write_text(svg)
+    for state in formats.parse_states(args.state):
+        svg = render.render_frame_svg(state, cam.width, cam.height)
+        (out / f"frame_{state.frame_index:06d}.svg").write_text(svg)
     return 0
 
 
@@ -139,9 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--points", type=int, default=200)
     synth.add_argument("--n-frames", type=int, default=37)
-    synth.add_argument("--width", type=float, default=640.0)
-    synth.add_argument("--height", type=float, default=480.0)
-    synth.add_argument("--focal", type=float, default=500.0)
+    camera = default_config().camera
+    synth.add_argument("--width", type=float, default=camera.width)
+    synth.add_argument("--height", type=float, default=camera.height)
+    synth.add_argument("--focal", type=float, default=camera.f)
     synth.add_argument("--speed", type=float, default=3.0)
     synth.add_argument("--noise", type=float, default=0.0)
     synth.add_argument("--movers",

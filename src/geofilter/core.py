@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 PRUNED = None  # sentinel returned by trust_commit when an entity falls below Tr_c
 
@@ -27,8 +27,7 @@ class ConfigValueError(ValueError):
         self.fields = fields
 
 
-@dataclass(frozen=True)
-class PixelPoint:
+class PixelPoint(NamedTuple):
     x: float
     y: float
 
@@ -42,10 +41,10 @@ class PixelPoint:
         return PixelPoint(self.x * s, self.y * s)
 
     def norm(self) -> float:
-        return math.hypot(self.x, self.y)
+        return math.hypot(*self)
 
     def dist(self, other: "PixelPoint") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
+        return math.dist(self, other)
 
 
 @dataclass(frozen=True)
@@ -188,13 +187,9 @@ class IgnoranceRegion:
             raise ValueError("ignorance region type must be 1 or 2")
 
 
-@dataclass
-class RebelAlignmentRow:
-    """Rolling chain of rebel-candidate positions over at most 3 consecutive frames."""
-    chain: List[Tuple[int, PixelPoint]]
-
-    def last_frame(self) -> int:
-        return self.chain[-1][0]
+# a rebel alignment row: the chain of (frame, point) of one rebel candidate
+# over at most 3 consecutive frames
+AlignmentRow = List[Tuple[int, PixelPoint]]
 
 
 @dataclass
@@ -202,7 +197,7 @@ class FilterState:
     frame_index: int = -1
     chi: List[Tuple[PixelPoint, int]] = field(default_factory=list)
     psi: List[IgnoranceRegion] = field(default_factory=list)
-    alpha: List[RebelAlignmentRow] = field(default_factory=list)
+    alpha: List[AlignmentRow] = field(default_factory=list)
     normal_edges: List[NormalEdge] = field(default_factory=list)
     rebel_edges: List[RebelEdge] = field(default_factory=list)
     normal_circles: List[Circle] = field(default_factory=list)

@@ -4,8 +4,10 @@ Bresenham circle with non-maximal suppression by arc score.
 Pixels are integers, so a ring pixel p is brighter than the centre c when
 p - c > t, which is p - c > floor(t), and darker when c - p > floor(t). Every
 comparison is made in integers: a uint8 frame is screened in uint8 and its
-differences taken in int16; any other image is read as int32 and handled in
-int64. Every 9-pixel arc holds two neighbouring compass pixels (ring
+differences taken in int16; any other integer image is handled in int64.
+An image of another dtype (float or bool among them), or with values
+outside the int32 range, raises ValueError rather than being rounded or
+wrapped. Every 9-pixel arc holds two neighbouring compass pixels (ring
 positions 0 and 4, 4 and 8, 8 and 12, or 12 and 0), so one pass over those
 four shifted planes finds the candidates. Only these get their 16 ring
 differences gathered, by one flat `take`, and sums over 2, 4, 8 and then 9
@@ -97,16 +99,20 @@ def detect_fast9(image: np.ndarray, threshold: float = 20.0) -> List[PixelPoint]
     is one plateau, and only its pixel nearest the group's centroid is kept
     (ties to the first in row-major order)."""
     image = np.asarray(image)
-    narrow = image.dtype == np.uint8
-    # uint8 frames are screened as they are, and their differences (and
-    # sums of 9) fit int16; any other image is read as int32, then int64
-    img = (image if narrow
-           else np.asarray(image, dtype=np.int32).astype(np.int64))
-    if img.ndim != 2 or img.shape[0] < 7 or img.shape[1] < 7:
+    if image.ndim != 2 or image.shape[0] < 7 or image.shape[1] < 7:
         raise ValueError("image must be a 2D raster of at least 7x7")
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and non-negative, "
                          f"got {threshold!r}")
+    narrow = image.dtype == np.uint8
+    if not narrow:
+        if not np.issubdtype(image.dtype, np.integer):
+            raise ValueError(f"image must hold integers, got {image.dtype}")
+        if image.min() < -2 ** 31 or image.max() >= 2 ** 31:
+            raise ValueError("image values must lie in the int32 range")
+    # uint8 frames are screened as they are, and their differences (and
+    # sums of 9) fit int16; any other image is handled in int64
+    img = image if narrow else image.astype(np.int64)
     work = np.int16 if narrow else np.int64
     # no difference exceeds the value range, so a larger t passes nothing
     t = min(math.floor(threshold), 255 if narrow else 2 ** 32)

@@ -6,11 +6,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core import (Circle, FilterState, IgnoranceRegion, ImuSample, NormalEdge,
-                   PixelPoint, RebelAlignmentRow, RebelEdge, Square)
+                   PixelPoint, RebelEdge, Square)
 from .pipeline import DimensionalityReport
 from .scene_synth import SceneTruth
 
@@ -68,7 +69,7 @@ def write_frames(path: Union[str, Path],
                  frames: Sequence[Tuple[int, Sequence[PixelPoint]]]) -> None:
     with open(path, "w") as fh:
         for frame, edges in frames:
-            rec = {"frame": frame, "edges": [[p.x, p.y] for p in edges]}
+            rec = {"frame": frame, "edges": edges}
             fh.write(json.dumps(rec) + "\n")
 
 
@@ -122,70 +123,63 @@ def write_scene(truth: SceneTruth, frames_path: Union[str, Path],
 
 # -- state snapshots ---------------------------------------------------------
 
-def _point(p: PixelPoint) -> List[float]:
-    return [p.x, p.y]
+# FilterState lists written as lists of records of their entities' own fields
+_ENTITIES = {"normal_edges": NormalEdge, "rebel_edges": RebelEdge,
+             "normal_circles": Circle, "rebel_circles": Circle,
+             "squares": Square}
 
 
 def state_to_dict(state: FilterState) -> dict:
-    return {
-        "frame": state.frame_index,
-        "chi": [[_point(p), n] for p, n in state.chi],
-        "psi": [{"loc": _point(r.loc), "extent": list(r.extent), "ty": r.ty,
-                 "remaining": r.remaining_frames} for r in state.psi],
-        "alpha": [[[f, _point(p)] for f, p in row.chain] for row in state.alpha],
-        "normal_edges": [{"loc": _point(e.loc), "vel": e.vel, "beta": e.beta,
-                          "mu": e.mu, "trust": e.trust}
-                         for e in state.normal_edges],
-        "rebel_edges": [{"loc": _point(e.loc), "vel": e.vel, "beta": e.beta,
-                         "mu": e.mu, "origin": _point(e.origin),
-                         "trust": e.trust} for e in state.rebel_edges],
-        "normal_circles": [_circle_dict(c) for c in state.normal_circles],
-        "rebel_circles": [_circle_dict(c) for c in state.rebel_circles],
-        "squares": [{"loc": _point(s.loc), "radii": list(s.radii), "vel": s.vel,
-                     "beta": s.beta, "origin": _point(s.origin),
-                     "trust": s.trust} for s in state.squares],
-    }
+    """One JSON-ready record of the state: each entity is a dict of its own
+    fields, points are (x, y) pairs and an ignorance region's
+    `remaining_frames` is written as `remaining`."""
+    rec = {"frame": state.frame_index, "chi": state.chi, "alpha": state.alpha,
+           "psi": [{"loc": r.loc, "extent": r.extent, "ty": r.ty,
+                    "remaining": r.remaining_frames} for r in state.psi]}
+    for name in _ENTITIES:
+        rec[name] = [dict(vars(e)) for e in getattr(state, name)]
+    return rec
 
 
-def _circle_dict(c: Circle) -> dict:
-    return {"kind": c.kind, "loc": _point(c.loc), "radius": c.radius,
-            "vel": c.vel, "beta": c.beta, "trust": c.trust,
-            "members": list(c.members), "origin": _point(c.origin)}
+# fields whose JSON lists are read back as the points and tuples they were
+_DECODE = {"loc": PixelPoint._make, "origin": PixelPoint._make,
+           "radii": tuple, "extent": tuple}
 
 
-def _pp(v: Sequence[float]) -> PixelPoint:
-    return PixelPoint(v[0], v[1])
+def _entity(kind, rec: dict):
+    """`kind` built from the values of its fields in `rec`; other keys are
+    ignored."""
+    values = {f.name: rec[f.name] for f in fields(kind)}
+    for name in _DECODE.keys() & values.keys():
+        values[name] = _DECODE[name](values[name])
+    return kind(**values)
 
 
 def state_from_dict(rec: dict) -> FilterState:
     """Inverse of `state_to_dict`.  Keys it does not read, such as the
     `collectors` of older logs, are ignored."""
     return FilterState(
-        frame_index=rec["frame"],
-        chi=[(_pp(p), n) for p, n in rec["chi"]],
-        psi=[IgnoranceRegion(loc=_pp(r["loc"]), extent=tuple(r["extent"]),
-                             ty=r["ty"], remaining_frames=r["remaining"])
+        frame_index=_frame_index(rec["frame"]),
+        chi=[(PixelPoint(*p), n) for p, n in rec["chi"]],
+        psi=[_entity(IgnoranceRegion,
+                     {**r, "remaining_frames": r["remaining"]})
              for r in rec["psi"]],
-        alpha=[RebelAlignmentRow([(f, _pp(p)) for f, p in row])
-               for row in rec["alpha"]],
-        normal_edges=[NormalEdge(loc=_pp(e["loc"]), vel=e["vel"],
-                                 beta=e["beta"], mu=e["mu"], trust=e["trust"])
-                      for e in rec["normal_edges"]],
-        rebel_edges=[RebelEdge(loc=_pp(e["loc"]), vel=e["vel"], beta=e["beta"],
-                               mu=e["mu"], origin=_pp(e["origin"]),
-                               trust=e["trust"]) for e in rec["rebel_edges"]],
-        normal_circles=[_circle_from(c) for c in rec["normal_circles"]],
-        rebel_circles=[_circle_from(c) for c in rec["rebel_circles"]],
-        squares=[Square(loc=_pp(s["loc"]), radii=tuple(s["radii"]),
-                        vel=s["vel"], beta=s["beta"], origin=_pp(s["origin"]),
-                        trust=s["trust"]) for s in rec["squares"]],
-    )
+        alpha=[[(f, PixelPoint(*p)) for f, p in row] for row in rec["alpha"]],
+        **{name: [_entity(kind, e) for e in rec[name]]
+           for name, kind in _ENTITIES.items()})
 
 
-def _circle_from(c: dict) -> Circle:
-    return Circle(kind=c["kind"], loc=_pp(c["loc"]), radius=c["radius"],
-                  vel=c["vel"], beta=c["beta"], trust=c["trust"],
-                  members=list(c["members"]), origin=_pp(c["origin"]))
+def parse_states(path: Union[str, Path]) -> Iterator[FilterState]:
+    """Stream the states of a `state.jsonl` file.  A line that is not a state
+    record raises FrameFormatError naming file and line."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                state = state_from_dict(json.loads(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FrameFormatError(
+                    f"{path}:{lineno}: malformed state record: {exc}")
+            yield state
 
 
 def write_state_jsonl(path: Union[str, Path],

@@ -18,7 +18,7 @@ def apply_ignorance(raw_edges: Sequence[PixelPoint],
     Returns the kept edges in input order and the dropped count."""
     if not psi or not raw_edges:
         return list(raw_edges), 0
-    pts = np.array([(p.x, p.y) for p in raw_edges])
+    pts = np.array(raw_edges, dtype=float)
     drop = np.zeros(len(raw_edges), dtype=bool)
     for r in psi:
         dx = pts[:, 0] - r.loc.x

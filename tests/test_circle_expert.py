@@ -170,7 +170,7 @@ class TestRebelAlignment:
                                                           CFG, IMU)
         assert rebels == []
         assert failed == [p1]
-        assert [row.chain[-1][1] for row in alpha] == [p2]
+        assert [row[-1][1] for row in alpha] == [p2]
 
     def test_overlong_step_not_chained(self):
         far = PixelPoint(100.0 + 2000.0, 100.0)
@@ -192,7 +192,7 @@ class TestRebelAlignment:
         cands = [PixelPoint(10.0, 10.0), PixelPoint(600.0, 400.0)]
         alpha, _, _ = ce.update_rebel_alignment([], cands, 0, CFG, IMU)
         assert len(alpha) == 2
-        assert all(len(row.chain) == 1 for row in alpha)
+        assert all(len(row) == 1 for row in alpha)
 
 
 class TestEstimateRebelEdge:

@@ -1,11 +1,13 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from geofilter import cli
-from geofilter.core import config_to_text, default_config
+from geofilter.core import (CameraModel, PixelPoint, config_from_text,
+                            config_to_text, default_config)
 from geofilter.detect import detect_fast9
 from geofilter.pipeline import baseline_store
 
@@ -68,6 +70,16 @@ class TestSynth:
         first = json.loads((dataset / "frames.jsonl").read_text()
                            .splitlines()[0])
         assert first["frame"] == 0 and len(first["edges"]) > 0
+
+    def test_config_holds_the_synthesized_camera(self, tmp_path):
+        out = tmp_path / "data"
+        assert cli.main(["synth", "--out", str(out), "--points", "40",
+                         "--n-frames", "3", "--width", "320", "--height",
+                         "240", "--focal", "250"]) == 0
+        config = config_from_text((out / "config.txt").read_text())
+        assert config == replace(default_config(), camera=CameraModel(
+            f=250.0, principal=PixelPoint(160.0, 120.0), width=320.0,
+            height=240.0))
 
 
 class TestRun:
@@ -336,3 +348,24 @@ class TestRender:
             svgs[name] = [f.read_text()
                           for f in sorted((tmp_path / name).iterdir())]
         assert len(svgs["old"]) == 8 and svgs["old"] == svgs["new"]
+
+    @pytest.mark.parametrize("drop,message", [
+        ("psi", "malformed state record: 'psi'"),
+        (None, "malformed state record: Expecting value"),
+    ])
+    def test_malformed_line_exits_2_naming_the_line(self, dataset, tmp_path,
+                                                     capsys, drop, message):
+        # line 3 loses its psi, or is not JSON at all
+        run_out = tmp_path / "run"
+        assert cli.main(["run", "--frames", str(dataset / "frames.jsonl"),
+                         "--imu", str(dataset / "imu.jsonl"),
+                         "--out", str(run_out)]) == 0
+        lines = (run_out / "state.jsonl").read_text().splitlines()
+        rec = json.loads(lines[2])
+        lines[2] = ("not json" if drop is None else
+                    json.dumps({k: v for k, v in rec.items() if k != drop}))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert cli.main(["render", "--state", str(bad), "--out",
+                         str(tmp_path / "svg")]) == 2
+        assert f"error: {bad}:3: {message}" in capsys.readouterr().err

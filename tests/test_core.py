@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +50,25 @@ class TestPixelPoint:
     def test_norm_and_dist(self):
         assert PixelPoint(3.0, 4.0).norm() == 5.0
         assert PixelPoint(0.0, 0.0).dist(PixelPoint(3.0, 4.0)) == 5.0
+
+    def test_cannot_be_assigned_to(self):
+        p = PixelPoint(1.0, 2.0)
+        with pytest.raises(AttributeError):
+            p.x = 3.0
+
+    def test_equal_and_hashed_by_value(self):
+        assert PixelPoint(1.0, 2.0) == PixelPoint(1.0, 2.0)
+        assert PixelPoint(1.0, 2.0) != PixelPoint(2.0, 1.0)
+        assert len({PixelPoint(1.0, 2.0), PixelPoint(1.0, 2.0)}) == 1
+
+    def test_repr_names_its_fields(self):
+        # the step oracles compare states by their repr
+        assert repr(PixelPoint(1.0, 2.0)) == "PixelPoint(x=1.0, y=2.0)"
+
+    def test_is_a_pair_to_json_and_numpy(self):
+        pts = [PixelPoint(1.0, 2.0), PixelPoint(3.5, -4.0)]
+        assert json.dumps(pts) == "[[1.0, 2.0], [3.5, -4.0]]"
+        assert np.array(pts).shape == (2, 2)
 
 
 class TestTrustLadder:

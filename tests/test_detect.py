@@ -117,6 +117,19 @@ class TestDetectFast9:
         with pytest.raises(ValueError, match="threshold"):
             detect_fast9(np.zeros((16, 16)), t)
 
+    @pytest.mark.parametrize("img,message", [
+        # one dark pixel on a bright field, whose values int32 would wrap
+        # (to 5 and to -1) or truncate (to 100 and 0): each hides or moves
+        # the corner without a word
+        (np.full((16, 16), 2 ** 33 + 5, dtype=np.int64), "int32 range"),
+        (np.full((16, 16), 2 ** 32 - 1, dtype=np.uint32), "int32 range"),
+        (np.full((16, 16), 100.7), "must hold integers"),
+    ])
+    def test_rejects_values_it_cannot_compare_exactly(self, img, message):
+        img[8, 8] = 0.2 if img.dtype.kind == "f" else 0
+        with pytest.raises(ValueError, match=message):
+            detect_fast9(img, 20.0)
+
     def test_flat_image_has_no_corners(self):
         assert detect_fast9(np.full((32, 32), 128), 20.0) == []
 

@@ -1,5 +1,6 @@
 import json
 import logging
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -7,8 +8,7 @@ from hypothesis import strategies as st
 
 from geofilter import formats
 from geofilter.core import (Circle, FilterState, IgnoranceRegion, ImuSample,
-                            NormalEdge, PixelPoint, RebelAlignmentRow,
-                            RebelEdge, Square)
+                            NormalEdge, PixelPoint, RebelEdge, Square)
 from geofilter.pipeline import DimensionalityReport
 
 
@@ -127,8 +127,7 @@ def _full_state():
                              remaining_frames=1),
              IgnoranceRegion(loc=PixelPoint(8.0, 8.0), extent=(4.0, 2.0),
                              ty=2, remaining_frames=0)],
-        alpha=[RebelAlignmentRow([(6, PixelPoint(3.0, 4.0)),
-                                  (7, PixelPoint(5.0, 6.0))])],
+        alpha=[[(6, PixelPoint(3.0, 4.0)), (7, PixelPoint(5.0, 6.0))]],
         normal_edges=[NormalEdge(loc=PixelPoint(10.0, 20.0), vel=2.0,
                                  beta=30.0, mu=25.0, trust=3)],
         rebel_edges=[RebelEdge(loc=PixelPoint(11.0, 21.0), vel=1.5, beta=-40.0,
@@ -162,9 +161,8 @@ _states = st.builds(
         st.builds(IgnoranceRegion, loc=_pts, extent=st.tuples(_num, _num),
                   ty=st.just(2), remaining_frames=st.integers(0, 5))),
         max_size=3),
-    alpha=st.lists(st.builds(RebelAlignmentRow, st.lists(
-        st.tuples(st.integers(0, 99), _pts), min_size=1, max_size=3)),
-        max_size=2),
+    alpha=st.lists(st.lists(st.tuples(st.integers(0, 99), _pts),
+                            min_size=1, max_size=3), max_size=2),
     normal_edges=st.lists(st.builds(NormalEdge, loc=_pts, vel=_num, beta=_num,
                                     mu=_num, trust=_trust), max_size=3),
     rebel_edges=st.lists(st.builds(RebelEdge, loc=_pts, vel=_num, beta=_num,
@@ -187,6 +185,20 @@ class TestStateSnapshots:
     def test_round_trip_generated(self, state):
         line = json.dumps(formats.state_to_dict(state), sort_keys=True)
         assert formats.state_from_dict(json.loads(line)) == state
+
+    def test_entity_records_hold_exactly_their_fields(self):
+        # psi is written apart: its remaining_frames goes under `remaining`
+        rec = formats.state_to_dict(_full_state())
+        kinds = {"normal_edges": NormalEdge, "rebel_edges": RebelEdge,
+                 "normal_circles": Circle, "rebel_circles": Circle,
+                 "squares": Square}
+        for name, kind in kinds.items():
+            assert rec[name]
+            for entity in rec[name]:
+                assert set(entity) == {f.name for f in fields(kind)}
+        names = {f.name for f in fields(IgnoranceRegion)}
+        for region in rec["psi"]:
+            assert set(region) == names - {"remaining_frames"} | {"remaining"}
 
     def test_reads_lines_that_carry_collectors(self):
         # logs written before `collectors` was dropped repeat chi there

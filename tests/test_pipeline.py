@@ -116,7 +116,7 @@ class TestStep:
         cfg, truth = _scene(seed=4, frames=10, n_points=60)
         for st_, _ in _run(cfg, truth):
             for row in st_.alpha:
-                assert 1 <= len(row.chain) <= 2
+                assert 1 <= len(row) <= 2
 
 
 class TestIgnoranceLifecycle:
