@@ -6,9 +6,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core import (Circle, FilterState, IgnoranceRegion, ImuSample, NormalEdge,
                    PixelPoint, RebelEdge, Square)
@@ -37,32 +38,55 @@ def _frame_index(value) -> int:
     return int(value)
 
 
-def parse_frames(path: Union[str, Path]) -> Iterator[Tuple[int, List[PixelPoint]]]:
-    """Stream (frame_index, edges) records from a JSONL file.  Frame indices
-    must be non-negative and strictly increasing, and coordinates finite."""
-    last = None
+def _records(path: Union[str, Path], what: str,
+             decode: Callable[[dict], object]) -> Iterator[tuple]:
+    """(line number, decode(record)) for each non-blank line of a JSONL
+    file.  A line that is not JSON, or whose record `decode` rejects with
+    KeyError, TypeError or ValueError, raises FrameFormatError naming file
+    and line."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-                frame = _frame_index(rec["frame"])
-                edges = [PixelPoint(float(x), float(y)) for x, y in rec["edges"]]
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise FrameFormatError(f"{path}:{lineno}: malformed frame record: {exc}")
-            if frame < 0:
+                value = decode(json.loads(line))
+            except (KeyError, TypeError, ValueError) as exc:
                 raise FrameFormatError(
-                    f"{path}:{lineno}: negative frame index {frame}")
-            if not all(math.isfinite(p.x) and math.isfinite(p.y) for p in edges):
-                raise FrameFormatError(
-                    f"{path}:{lineno}: non-finite edge coordinate in frame {frame}")
-            if last is not None and frame <= last:
-                raise FrameFormatError(
-                    f"{path}:{lineno}: non-monotonic frame index {frame} after {last}")
-            last = frame
-            yield frame, edges
+                    f"{path}:{lineno}: malformed {what} record: {exc}")
+            yield lineno, value
+
+
+def _indexed(path: Union[str, Path], what: str,
+             decode: Callable[[dict], tuple]) -> Iterator[tuple]:
+    """(line number, frame, value) for each record `decode` turns into a
+    (frame, value) pair, as `_records` reads them.  Frame indices must be
+    non-negative and strictly increasing."""
+    last = None
+    for lineno, (frame, value) in _records(path, what, decode):
+        if frame < 0:
+            raise FrameFormatError(
+                f"{path}:{lineno}: negative frame index {frame}")
+        if last is not None and frame <= last:
+            raise FrameFormatError(f"{path}:{lineno}: non-monotonic frame "
+                                   f"index {frame} after {last}")
+        last = frame
+        yield lineno, frame, value
+
+
+def _frame_record(rec: dict) -> Tuple[int, List[PixelPoint]]:
+    return (_frame_index(rec["frame"]),
+            [PixelPoint(float(x), float(y)) for x, y in rec["edges"]])
+
+
+def parse_frames(path: Union[str, Path]) -> Iterator[Tuple[int, List[PixelPoint]]]:
+    """Stream (frame_index, edges) records from a JSONL file.  Frame indices
+    must be non-negative and strictly increasing, and coordinates finite."""
+    for lineno, frame, edges in _indexed(path, "frame", _frame_record):
+        if not all(math.isfinite(p.x) and math.isfinite(p.y) for p in edges):
+            raise FrameFormatError(
+                f"{path}:{lineno}: non-finite edge coordinate in frame {frame}")
+        yield frame, edges
 
 
 def write_frames(path: Union[str, Path],
@@ -73,24 +97,20 @@ def write_frames(path: Union[str, Path],
             fh.write(json.dumps(rec) + "\n")
 
 
+def _imu_record(rec: dict) -> Tuple[int, ImuSample]:
+    return _frame_index(rec["frame"]), ImuSample(
+        v_v=float(rec["v_v"]), a_v=float(rec["a_v"]),
+        omega=(float(rec["wx"]), float(rec["wy"]), float(rec["wz"])),
+        t_f=float(rec["t_f"]))
+
+
 def parse_imu(path: Union[str, Path], n_frames: Optional[int] = None
               ) -> List[ImuSample]:
     """Read one IMU record per frame; missing frames hold the last value.
-    Malformed records and non-finite values raise naming file and line."""
-    records = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                records[_frame_index(rec["frame"])] = ImuSample(
-                    v_v=float(rec["v_v"]), a_v=float(rec["a_v"]),
-                    omega=(float(rec["wx"]), float(rec["wy"]), float(rec["wz"])),
-                    t_f=float(rec["t_f"]))
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise FrameFormatError(f"{path}:{lineno}: malformed IMU record: {exc}")
+    Frame indices must be non-negative and strictly increasing; malformed
+    records and non-finite values raise naming file and line."""
+    records = {frame: sample for _lineno, frame, sample
+               in _indexed(path, "IMU", _imu_record)}
     if not records:
         raise FrameFormatError(f"{path}: no IMU records")
     hi = max(records) + 1 if n_frames is None else n_frames
@@ -141,9 +161,26 @@ def state_to_dict(state: FilterState) -> dict:
     return rec
 
 
-# fields whose JSON lists are read back as the points and tuples they were
-_DECODE = {"loc": PixelPoint._make, "origin": PixelPoint._make,
-           "radii": tuple, "extent": tuple}
+def _real(value):
+    """`value` when it is a finite real number: a JSON integer or float
+    within float range, not a boolean.  Anything else raises ValueError."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _point(pair) -> PixelPoint:
+    x, y = pair
+    return PixelPoint(_real(x), _real(y))
+
+
+def _reals(values) -> tuple:
+    return tuple(map(_real, values))
+
+
+# geometry fields, read back as the finite points, numbers and tuples they were
+_DECODE = {"loc": _point, "origin": _point, "radius": _real, "radii": _reals,
+           "extent": _reals}
 
 
 def _entity(kind, rec: dict):
@@ -156,30 +193,26 @@ def _entity(kind, rec: dict):
 
 
 def state_from_dict(rec: dict) -> FilterState:
-    """Inverse of `state_to_dict`.  Keys it does not read, such as the
-    `collectors` of older logs, are ignored."""
+    """Inverse of `state_to_dict`.  A point, `radius`, `radii` or `extent`
+    that is not finite numbers raises ValueError.  Keys it does not read,
+    such as the `collectors` of older logs, are ignored."""
     return FilterState(
         frame_index=_frame_index(rec["frame"]),
-        chi=[(PixelPoint(*p), n) for p, n in rec["chi"]],
+        chi=[(_point(p), n) for p, n in rec["chi"]],
         psi=[_entity(IgnoranceRegion,
                      {**r, "remaining_frames": r["remaining"]})
              for r in rec["psi"]],
-        alpha=[[(f, PixelPoint(*p)) for f, p in row] for row in rec["alpha"]],
+        alpha=[[(f, _point(p)) for f, p in row] for row in rec["alpha"]],
         **{name: [_entity(kind, e) for e in rec[name]]
            for name, kind in _ENTITIES.items()})
 
 
 def parse_states(path: Union[str, Path]) -> Iterator[FilterState]:
-    """Stream the states of a `state.jsonl` file.  A line that is not a state
-    record raises FrameFormatError naming file and line."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                state = state_from_dict(json.loads(line))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FrameFormatError(
-                    f"{path}:{lineno}: malformed state record: {exc}")
-            yield state
+    """Stream the states of a `state.jsonl` file, skipping blank lines.  A
+    line that is not a state record raises FrameFormatError naming file and
+    line."""
+    for _lineno, state in _records(path, "state", state_from_dict):
+        yield state
 
 
 def write_state_jsonl(path: Union[str, Path],

@@ -8,7 +8,7 @@ import bisect
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import circle_expert as ce
 from . import line_expert as le
@@ -323,31 +323,6 @@ def _associate(means: list, predicted: list, admits: Callable[[object, int], boo
     return out, comparisons
 
 
-# far above the rounding of wrap_deg(a - b) for angles in [-180, 180]
-# (a few 1e-14 degrees), so a bisected window widened by it holds every edge
-# the exact angle test admits
-_WINDOW_MARGIN = 1e-6
-
-
-def _beta_window(sorted_betas: List[float], beta: float,
-                 eps: float) -> Iterable[int]:
-    """Positions in `sorted_betas` that may lie within eps of beta around the
-    circle, ascending and without repeats: the bisected spans
-    beta + 360k +- (eps + margin) for k = -1, 0, 1, the outer two being the
-    spans that wrap across +-180. Angles outside [-180, 180] get every
-    position. Callers apply the exact test to these positions only."""
-    if not (-180.0 <= sorted_betas[0] and sorted_betas[-1] <= 180.0):
-        return range(len(sorted_betas))
-    reach = eps + _WINDOW_MARGIN
-    out: List[int] = []
-    start = 0
-    for centre in (beta - 360.0, beta, beta + 360.0):
-        lo = bisect.bisect_left(sorted_betas, centre - reach, start)
-        start = bisect.bisect_right(sorted_betas, centre + reach, lo)
-        out.extend(range(lo, start))
-    return out
-
-
 def _circle_stage(edges: list, prev_circles: List[Circle], imu: ImuSample,
                   config: FilterConfig, rebel: bool) -> Tuple[List[Circle], int]:
     """Group edges into mean circles and associate them with the predicted
@@ -355,7 +330,6 @@ def _circle_stage(edges: list, prev_circles: List[Circle], imu: ImuSample,
     window holds every ungrouped edge. Normal edges are seeded in angle
     order, and the window holds the ungrouped edges within eps_beta_n of the
     seed (`abs(wrap_deg(beta - seed.beta)) < eps_beta_n`), in angle order.
-    Only the edges `_beta_window` bisects out of the angle order are tested.
     `comparisons` counts the window sizes and the association's gate tests."""
     means: List[Circle] = []
     member_locs: List[List[PixelPoint]] = []
@@ -367,7 +341,6 @@ def _circle_stage(edges: list, prev_circles: List[Circle], imu: ImuSample,
     else:
         group = ce.group_normal_circle
         order = sorted(range(len(edges)), key=lambda i: (edges[i].beta, i))
-        sorted_betas = [edges[i].beta for i in order]
         admits = lambda pred, k: ce.match_normal_circle(  # noqa: E731
             pred, means[k], member_locs[k], config)
     comparisons = 0
@@ -377,13 +350,8 @@ def _circle_stage(edges: list, prev_circles: List[Circle], imu: ImuSample,
         if assigned[si]:
             continue
         seed = edges[si]
-        if rebel:
-            window = [i for i in order if not assigned[i]]
-        else:
-            window = [i for i in (order[p] for p in _beta_window(
-                          sorted_betas, seed.beta, eps))
-                      if not assigned[i]
-                      and abs(wrap_deg(edges[i].beta - seed.beta)) < eps]
+        window = [i for i in order if not assigned[i] and (
+            rebel or abs(wrap_deg(edges[i].beta - seed.beta)) < eps)]
         subpool = [edges[i] for i in window]
         comparisons += len(subpool)
         circle = group(seed, subpool, config, imu)
@@ -414,9 +382,7 @@ def _square_stage(circles: List[Circle], prev_squares: List[Square],
     circles aligned with a (`se.match_case2`) and the minor circles inside the
     first box (`se.include_minor_circle`) make one mean square.
 
-    Three prunes skip calls that cannot change the result:
-    - a b that fails `se.couple_kinematics` is dropped before sorting. Those
-      tests do not depend on d_t, so `match_couple_case1` would reject it;
+    Two prunes skip calls that cannot change the result:
     - `shrink_dt` runs only over circles no faster than a (vel <= a.vel). It
       returns d_t unchanged for any other circle, NaN velocity included;
     - that loop stops once d_ab < d_t fails. d_t never grows, so every later
@@ -433,7 +399,7 @@ def _square_stage(circles: List[Circle], prev_squares: List[Square],
         # look for the furthest admissible couple first
         candidates = sorted(
             (-a.loc.dist(b.loc), bi) for bi, b in enumerate(circles)
-            if bi != ai and not used[bi] and se.couple_kinematics(a, b, config))
+            if bi != ai and not used[bi])
         slower = None
         couple = None
         for neg_d_ab, bi in candidates:

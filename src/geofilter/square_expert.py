@@ -18,23 +18,17 @@ class TangentUndefinedError(ValueError):
     ellipse, so no external tangent exists."""
 
 
-def couple_kinematics(a: Circle, b: Circle, config: FilterConfig) -> bool:
-    """The part of the corner-couple match that does not depend on the
-    temporary maximum: similar velocity and an angle offset of
-    +-delta_beta_1 within eps_beta."""
-    if abs(a.vel - b.vel) > config.eps_v:
+def match_couple_case1(a: Circle, b: Circle, d_t: float,
+                       config: FilterConfig) -> bool:
+    """Corner-couple match: distance strictly under the temporary maximum
+    d_t, similar velocity and an angle offset of +-delta_beta_1 within
+    eps_beta."""
+    if not a.loc.dist(b.loc) < d_t or abs(a.vel - b.vel) > config.eps_v:
         return False
     for offset in (config.delta_beta_1, -config.delta_beta_1):
         if abs(wrap_deg(a.beta - (b.beta + offset))) <= config.eps_beta:
             return True
     return False
-
-
-def match_couple_case1(a: Circle, b: Circle, d_t: float,
-                       config: FilterConfig) -> bool:
-    """Corner-couple match: `couple_kinematics`, and distance strictly under
-    the temporary maximum d_t."""
-    return a.loc.dist(b.loc) < d_t and couple_kinematics(a, b, config)
 
 
 def couple_interior_angle(a_loc: PixelPoint, b_loc: PixelPoint,

@@ -369,3 +369,27 @@ class TestRender:
         assert cli.main(["render", "--state", str(bad), "--out",
                          str(tmp_path / "svg")]) == 2
         assert f"error: {bad}:3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point,message", [
+        (["a", "b"], "expected a finite number, got 'a'"),
+        ([float("nan"), 5.0], "expected a finite number, got nan"),
+    ], ids=["strings", "nan"])
+    def test_badly_typed_point_exits_2_naming_the_line(
+            self, dataset, tmp_path, capsys, point, message):
+        run_out = tmp_path / "run"
+        assert cli.main(["run", "--frames", str(dataset / "frames.jsonl"),
+                         "--imu", str(dataset / "imu.jsonl"),
+                         "--out", str(run_out)]) == 0
+        lines = (run_out / "state.jsonl").read_text().splitlines()
+        rec = json.loads(lines[1])
+        assert rec["chi"]
+        rec["chi"][0][0] = point
+        lines[1] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        svg_out = tmp_path / "svg"
+        assert cli.main(["render", "--state", str(bad), "--out",
+                         str(svg_out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}:2: malformed state record: {message}" in err
+        assert "Traceback" not in err

@@ -112,6 +112,21 @@ class TestImu:
                            match=r"imu\.jsonl:2: .*must be an integer"):
             formats.parse_imu(path)
 
+    @pytest.mark.parametrize("frames,message", [
+        ((0, 1, 1), r"imu\.jsonl:3: non-monotonic frame index 1 after 1"),
+        ((-1, 0), r"imu\.jsonl:1: negative frame index -1"),
+        ((0, 2, 1), r"imu\.jsonl:3: non-monotonic frame index 1 after 2"),
+    ], ids=["duplicate", "negative", "out-of-order"])
+    def test_frame_indices_checked_like_frames(self, tmp_path, frames,
+                                               message):
+        path = tmp_path / "imu.jsonl"
+        path.write_text("".join(
+            json.dumps({"frame": k, "v_v": 2.0 + i, "a_v": 0, "wx": 0,
+                        "wy": 0, "wz": 0, "t_f": 1.0}) + "\n"
+            for i, k in enumerate(frames)))
+        with pytest.raises(formats.FrameFormatError, match=message):
+            formats.parse_imu(path)
+
     def test_malformed_reports_line(self, tmp_path):
         path = tmp_path / "imu.jsonl"
         path.write_text('{"frame": 0, "v_v": 1.0}\n')
@@ -208,6 +223,29 @@ class TestStateSnapshots:
         rec["collectors"] = [{"center": p, "radius": 25.0, "count": n}
                              for p, n in rec["chi"]]
         assert formats.state_from_dict(json.loads(json.dumps(rec))) == state
+
+    @pytest.mark.parametrize("bad", ["a", float("nan"), True, None, 10 ** 400],
+                             ids=["str", "nan", "bool", "null", "huge-int"])
+    @pytest.mark.parametrize("path", [
+        ("chi", 0, 0, 1), ("alpha", 0, 1, 1, 1),
+        ("normal_edges", 0, "loc", 1), ("rebel_edges", 0, "origin", 1),
+        ("normal_circles", 0, "radius"), ("squares", 0, "radii", 1),
+        ("psi", 1, "extent", 1),
+    ], ids=["chi", "alpha", "loc", "origin", "radius", "radii", "extent"])
+    def test_geometry_must_be_finite_numbers(self, path, bad):
+        rec = json.loads(json.dumps(formats.state_to_dict(_full_state())))
+        node = rec
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        with pytest.raises(ValueError, match="expected a finite number"):
+            formats.state_from_dict(rec)
+
+    def test_parse_states_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "state.jsonl"
+        formats.write_state_jsonl(path, [_full_state()])
+        path.write_text("\n" + path.read_text() + "\n  \n")
+        assert list(formats.parse_states(path)) == [_full_state()]
 
     def test_jsonl_is_one_sorted_record_per_state(self, tmp_path):
         path = tmp_path / "state.jsonl"

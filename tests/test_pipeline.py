@@ -112,6 +112,21 @@ class TestStep:
         assert rep.e_n == rep.chi > 0
         assert rep.e_r == 0 and rep.alpha == 0
 
+    def test_detections_outside_the_image_are_kept(self):
+        # no input check bounds detections by the image: points far outside
+        # it are grouped, born as edges and stepped like any other
+        cfg, truth = _scene(seed=1, frames=4)
+        outside = [PixelPoint(-50.0, 900.0), PixelPoint(1e6, -1e6)]
+        st_, rep = step(FilterState(), truth.edges(0) + outside, truth.imu[0],
+                        cfg, frame_index=0)
+        assert [(p, 1) for p in outside] == [c for c in st_.chi
+                                            if c[0] in outside]
+        assert all(p in [e.loc for e in st_.normal_edges] for p in outside)
+        assert rep.edges == len(truth.edges(0)) + 2
+        for k in range(1, 4):
+            st_, _ = step(st_, truth.edges(k) + outside, truth.imu[k], cfg,
+                          frame_index=k)
+
     def test_alignment_rows_never_exceed_two_entries(self):
         cfg, truth = _scene(seed=4, frames=10, n_points=60)
         for st_, _ in _run(cfg, truth):
