@@ -8,6 +8,8 @@ import enum
 from dataclasses import replace
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from .core import (AlignmentRow, Circle, FilterConfig, ImuSample, NormalEdge,
                    PixelPoint, RebelEdge, TrustLadder, trust_init, wrap_deg)
 from .kinematics import angle_of
@@ -21,31 +23,36 @@ class XiClass(enum.Enum):
     XI5 = "xi5"  # fails everything: rebel candidate / fresh landmark
 
 
-def classify_edge(obs_beta: float, at_origin: bool, dist: float,
-                  predicted: NormalEdge, config: FilterConfig,
-                  imu: ImuSample) -> XiClass:
-    """Classify one observation against one advanced normal-edge prediction.
+# the classes by priority: an observation that classes differently against
+# several predicted edges takes the first of its classes here
+XI_BY_PRIORITY = (XiClass.XI2, XiClass.XI3, XiClass.XI1, XiClass.XI4,
+                  XiClass.XI5)
 
-    The observation enters as what the classes read of it: `obs_beta`, its
-    angle about the principal point (`angle_of(obs, principal)`);
-    `at_origin`, whether it is the principal point itself; and `dist`, its
-    distance to the prediction (`obs.dist(predicted.loc)`). `step` computes
-    the first two once per observation and the third once per pair.
+
+def classify_edges(obs_beta: np.ndarray, at_origin: np.ndarray,
+                   dist: np.ndarray, beta: np.ndarray, mu: np.ndarray,
+                   config: FilterConfig, imu: ImuSample) -> np.ndarray:
+    """Classify observation/prediction pairs, given as columns. Returns each
+    pair's class as its index into XI_BY_PRIORITY.
+
+    A pair enters as what the classes read of it: `obs_beta`, the
+    observation's angle about the principal point (`angle_of(obs,
+    principal)`); `at_origin`, whether the observation is the principal
+    point itself; `dist`, its distance to the prediction (`obs.dist(loc)`);
+    and the prediction's `beta` and `mu`.
 
     The observation is inside the prediction's radius when dist <= mu. It is
     in the error span when it sits on the principal point or its angle is
     within delta_v of the prediction's, boundary included. Its magnitude is
     consistent when the residual, re-expressed as a velocity, is within
-    eps_v_n times the vehicle speed.
+    eps_v_n times the vehicle speed. Inside the radius a pair is XI2 when it
+    is in span and consistent, else XI3; outside, it is XI1 in span and
+    consistent, XI4 in span only, else XI5.
     """
-    in_span = (at_origin or abs(wrap_deg(obs_beta - predicted.beta))
-               <= config.delta_v)
+    in_span = at_origin | (np.abs(wrap_deg(obs_beta - beta)) <= config.delta_v)
     mag_ok = dist / (config.px_per_cm * imu.t_f) <= config.eps_v_n * imu.v_v
-    if dist <= predicted.mu:
-        return XiClass.XI2 if (in_span and mag_ok) else XiClass.XI3
-    if in_span:
-        return XiClass.XI1 if mag_ok else XiClass.XI4
-    return XiClass.XI5
+    both = in_span & mag_ok
+    return np.where(dist <= mu, 1 - both, 4 - in_span - both)
 
 
 def estimate_trusted(prior, measurement, trust: int, tr_c: int):

@@ -2,6 +2,11 @@
 
 Forward camera motion induces a radially outward flow around the principal
 point; rotation is decoupled and applied first as a small-angle flow update.
+
+`rotate_motion_field` and `advance` are plain arithmetic, so they take a
+point of two numpy columns as well as a point of two floats and return the
+same bits for each element. The edge predictions run on columns; every
+`hypot`, `cos` and `sin` among them is Python's own, taken per element.
 """
 
 from __future__ import annotations
@@ -9,7 +14,9 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from .core import CameraModel, FilterConfig, ImuSample, NormalEdge, PixelPoint, wrap_deg
+import numpy as np
+
+from .core import CameraModel, FilterConfig, ImuSample, PixelPoint, wrap_deg
 
 
 def rotate_motion_field(loc_rel: PixelPoint, camera: CameraModel,
@@ -64,11 +71,38 @@ def heading(beta: float) -> Tuple[float, float]:
     return math.cos(rad), math.sin(rad)
 
 
-def predict_normal_edge(e: NormalEdge, imu: ImuSample, config: FilterConfig) -> NormalEdge:
-    """Advance a normal edge one frame: rotational flow, then radial outward
-    displacement from the frame origin by the averaged velocity."""
-    rel = e.loc - config.camera.principal
-    v_pred = 0.5 * (e.vel + imu.v_v)
-    ux, uy = outward(rel)
-    loc = advance(rel, ux, uy, config.px_per_cm * v_pred * imu.t_f, imu, config)
-    return NormalEdge(loc=loc, vel=v_pred, beta=e.beta, mu=e.mu, trust=e.trust)
+def hypot_columns(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """`math.hypot` of each element pair; `np.hypot` differs from it in the
+    last bit on some inputs."""
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float,
+                       len(dx))
+
+
+def predict_normal_edges(x: np.ndarray, y: np.ndarray, vel: np.ndarray,
+                         imu: ImuSample, config: FilterConfig
+                         ) -> Tuple[PixelPoint, np.ndarray]:
+    """Advance normal edges one frame, given as columns of their location
+    and velocity: rotational flow, then radial outward displacement from the
+    frame origin by the averaged velocity; an edge on the origin itself only
+    rotates. Returns the locations as a point of two columns, and the
+    averaged velocities."""
+    rel = PixelPoint(x, y) - config.camera.principal
+    v_pred = 0.5 * (vel + imu.v_v)
+    r = hypot_columns(rel.x, rel.y)
+    inv = 1.0 / np.where(r == 0.0, np.inf, r)
+    loc = advance(rel, rel.x * inv, rel.y * inv,
+                  config.px_per_cm * v_pred * imu.t_f, imu, config)
+    return loc, v_pred
+
+
+def predict_rebel_edges(x: np.ndarray, y: np.ndarray, vel: np.ndarray,
+                        beta: np.ndarray, imu: ImuSample,
+                        config: FilterConfig) -> PixelPoint:
+    """Advance rebel edges one frame, given as columns of their location,
+    velocity and angle: rotational flow, then their own velocity along their
+    own angle. Returns the locations as a point of two columns."""
+    rad = list(map(math.radians, beta.tolist()))
+    return advance(PixelPoint(x, y) - config.camera.principal,
+                   np.fromiter(map(math.cos, rad), float, len(rad)),
+                   np.fromiter(map(math.sin, rad), float, len(rad)),
+                   vel * imu.t_f * config.px_per_cm, imu, config)

@@ -4,11 +4,12 @@ ignorance-region management and dimensionality accounting."""
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import circle_expert as ce
 from . import line_expert as le
@@ -16,16 +17,20 @@ from . import square_expert as se
 from .core import (Circle, FilterConfig, FilterState, IgnoranceRegion,
                    ImuSample, NormalEdge, PixelPoint, RebelEdge, Square,
                    TrustLadder, trust_commit, trust_init, wrap_deg)
-from .kinematics import (advance, angle_of, heading, outward,
-                         predict_normal_edge)
+from .kinematics import (advance, angle_of, heading, hypot_columns, outward,
+                         predict_normal_edges, predict_rebel_edges)
 
 # how many angle-neighbors each observation is checked against
 _K_NEIGHBORS = 8
 
-# priority when one observation classifies differently against several
-# candidate edges (lower is better)
-_XI_PRIORITY = {ce.XiClass.XI2: 0, ce.XiClass.XI3: 1, ce.XiClass.XI1: 2,
-                ce.XiClass.XI4: 3, ce.XiClass.XI5: 4}
+# the angle-neighbour window for k neighbours: k slots left of the insertion
+# point, nearest first, k right of it, then the two seam entries (set per call)
+_WINDOWS = [np.concatenate((np.arange(-1, -k - 1, -1), np.arange(k), (0, 0)))
+            for k in range(_K_NEIGHBORS + 1)]
+
+# rebel candidates are matched in blocks of about this many candidate/edge
+# pairs, which bounds the memory of a runaway frame's pair columns
+_PAIR_BLOCK = 1 << 12
 
 
 @dataclass
@@ -67,15 +72,6 @@ def baseline_store(mode: str, counts: Sequence[int], k: int = 5) -> List[int]:
     raise ValueError(f"unknown baseline mode: {mode}")
 
 
-def _predict_rebel_edge(e: RebelEdge, imu: ImuSample,
-                        config: FilterConfig) -> RebelEdge:
-    """Rebels advance along their own direction after the rotational update."""
-    ux, uy = heading(e.beta)
-    return replace(e, loc=advance(e.loc - config.camera.principal, ux, uy,
-                                  e.vel * imu.t_f * config.px_per_cm, imu,
-                                  config))
-
-
 def _predict_circle(c: Circle, imu: ImuSample, config: FilterConfig) -> Circle:
     """Advance a circle one frame; normal circles follow the outward field
     (velocity re-based on the vehicle speed), rebels follow their own angle."""
@@ -90,42 +86,178 @@ def _predict_circle(c: Circle, imu: ImuSample, config: FilterConfig) -> Circle:
                                   imu, config), vel=vel)
 
 
-def _angle_neighbors(sorted_betas: List[float], obs_beta: float,
-                     n: int) -> List[int]:
-    """Indices (into the sorted order) of up to _K_NEIGHBORS circularly
-    nearest entries by angle."""
+def _angle_neighbors(sorted_betas: np.ndarray, obs_beta: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Each observation's k = min(_K_NEIGHBORS, n) circularly nearest
+    entries of `sorted_betas` (ascending) by angle, plus the seam entries 0
+    and n - 1 when they are not among them and are nearer than the farthest
+    of them. Returns the observation and the sorted index of every pair,
+    grouped by observation.
+
+    The k nearest are a merge, ties to the left, of the k slots left of the
+    observation's insertion point and the k right of it, each side nearest
+    first. A head-to-head merge of two runs puts left slot i before right
+    slot j iff the running maximum of the left distances up to i is at most
+    that of the right ones up to j. So it takes left slot i iff fewer than
+    k - i right slots come first, that is iff cummax_L[i] <= cummax_R[k-1-i],
+    and right slot j iff left slot k-1-j is not taken. Slots out of range
+    get distance 360, above any wrapped one, and are never taken.
+
+    A NaN observation is inserted at 0, as `bisect_left` inserts it; its
+    distances are NaN, so it takes the k entries from 0 on, as the
+    per-observation search does.
+    """
+    n = len(sorted_betas)
     k = min(_K_NEIGHBORS, n)
-    pos = bisect.bisect_left(sorted_betas, obs_beta)
-    picked = []
-    lo, hi = pos - 1, pos
-    while len(picked) < k:
-        if lo < 0 and hi >= n:
-            break
-        if hi >= n:
-            picked.append(lo % n)
-            lo -= 1
-        elif lo < 0:
-            picked.append(hi % n)
-            hi += 1
-        else:
-            d_lo = abs(wrap_deg(sorted_betas[lo] - obs_beta))
-            d_hi = abs(wrap_deg(sorted_betas[hi] - obs_beta))
-            if d_lo <= d_hi:
-                picked.append(lo)
-                lo -= 1
-            else:
-                picked.append(hi)
-                hi += 1
-    # circular wrap: also consider the extreme entries across the seam. An
-    # entry appended here is nearer than the farthest pick, so it cannot
-    # raise that maximum for the other end.
+    pos = np.searchsorted(sorted_betas, obs_beta)
+    pos[np.isnan(obs_beta)] = 0
+    # columns: the left slots, the right slots, then the seam entries
+    slots = pos[:, None] + _WINDOWS[k]
+    slots[:, 2 * k:] = 0, n - 1
+    dist = np.abs(wrap_deg(sorted_betas.take(slots, mode="clip")
+                           - obs_beta[:, None]))
+    dist[slots.view(np.uintp) >= n] = 360.0  # slots < 0 or >= n
+    cm_l = np.maximum.accumulate(dist[:, :k], axis=1)
+    cm_r = np.maximum.accumulate(dist[:, k:2 * k], axis=1)[:, ::-1]
+    take_l = cm_l <= cm_r
+    taken = np.zeros(slots.shape, dtype=bool)
+    taken[:, :k] = take_l
+    taken[:, 2 * k - 1:k - 1:-1] = ~take_l
     if n > k:
-        farthest = max(abs(wrap_deg(sorted_betas[i] - obs_beta)) for i in picked)
-        for idx in (0, n - 1):
-            if (idx not in picked
-                    and abs(wrap_deg(sorted_betas[idx] - obs_beta)) < farthest):
-                picked.append(idx)
-    return picked
+        # the picks are the slots first .. first + k - 1, and the largest
+        # running maximum among them is the farthest
+        first = pos - take_l.sum(1)
+        farthest = np.where(take_l, cm_l, cm_r).max(1)
+        taken[:, 2 * k:] = ((dist[:, 2 * k:] < farthest[:, None])
+                            & (first[:, None] + (0, k - 1) != (0, n - 1)))
+    return taken.nonzero()[0], slots[taken]
+
+
+def _first_by(rows: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """For pair columns grouped by row (`rows` non-decreasing), the index of
+    each row's first pair in the order of `keys`, most significant first;
+    ties go to the earlier pair."""
+    order = np.lexsort(keys[::-1] + (rows,))
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    return order[first]
+
+
+def _normal_edge_stage(old: List[NormalEdge], chi: List[Tuple[PixelPoint, int]],
+                       imu: ImuSample, config: FilterConfig
+                       ) -> Tuple[List[NormalEdge], List[PixelPoint],
+                                  List[PixelPoint], int]:
+    """Predict the normal edges, classify each observation against its angle
+    neighbours among the predictions, and commit the edges. Returns the
+    committed edges, the observations to be born as normal edges (XI1, or
+    all of chi with no prediction), the rebel candidates (XI4, XI5) and the
+    comparison count."""
+    if not old:
+        return [], [obs for obs, _count in chi], [], 0
+    origin = config.camera.principal
+    x, y, vel, beta, mu = np.array(
+        [(e.loc.x, e.loc.y, e.vel, e.beta, e.mu) for e in old],
+        dtype=float).T
+    loc, v_pred = predict_normal_edges(x, y, vel, imu, config)
+
+    # predicted edge -> the observations it matched as XI2 and as XI3, each
+    # as (obs, count, dist) in observation order
+    matches: Dict[int, Tuple[list, list]] = {}
+    born: List[PixelPoint] = []
+    rebel_candidates: List[PixelPoint] = []
+    comparisons = 0
+    if chi:
+        obs_xy = np.array([obs for obs, _count in chi], dtype=float)
+        obs_beta = np.array([angle_of(obs, origin) for obs, _count in chi])
+        at_origin = (obs_xy[:, 0] == origin.x) & (obs_xy[:, 1] == origin.y)
+        order = np.argsort(beta, kind="stable")
+        rows, slots = _angle_neighbors(beta[order], obs_beta)
+        idx = order[slots]
+        dist = hypot_columns(obs_xy[rows, 0] - loc.x[idx],
+                             obs_xy[rows, 1] - loc.y[idx])
+        prio = ce.classify_edges(obs_beta[rows], at_origin[rows], dist,
+                                 beta[idx], mu[idx], config, imu)
+        comparisons = (len(chi) * max(1, math.ceil(math.log2(len(old) + 1)))
+                       + len(rows))
+        best = _first_by(rows, prio, dist, idx)
+        for (obs, count), p, i, d in zip(chi, prio[best].tolist(),
+                                         idx[best].tolist(),
+                                         dist[best].tolist()):
+            cls = ce.XI_BY_PRIORITY[p]
+            if cls is ce.XiClass.XI2 or cls is ce.XiClass.XI3:
+                hits = matches.setdefault(i, ([], []))
+                hits[0 if cls is ce.XiClass.XI2 else 1].append((obs, count, d))
+            elif cls is ce.XiClass.XI1:
+                born.append(obs)
+            else:
+                rebel_candidates.append(obs)
+
+    edges: List[NormalEdge] = []
+    for i, (e, px, py, v) in enumerate(zip(old, loc.x.tolist(),
+                                           loc.y.tolist(), v_pred.tolist())):
+        est = NormalEdge(loc=PixelPoint(px, py), vel=v, beta=e.beta, mu=e.mu,
+                         trust=e.trust)
+        xi2, xi3 = matches.get(i, ((), ()))
+        if xi2 or xi3:
+            chosen = min(xi2 or xi3, key=lambda a: a[2])
+            match_count = max(1, sum(a[1] for a in xi2 + xi3))
+            est = ce.estimate_normal_edge(est, chosen[0], match_count, imu,
+                                          config)
+        _commit(edges, est, 1 if xi2 else -1, config.circle_trust)
+    return edges, born, rebel_candidates, comparisons
+
+
+def _rebel_edge_stage(old: List[RebelEdge], candidates: List[PixelPoint],
+                      imu: ImuSample, config: FilterConfig
+                      ) -> Tuple[List[RebelEdge], List[PixelPoint], int]:
+    """Predict the rebel edges, let each candidate take the nearest
+    predicted edge (the first on ties) within the gate whose own angle span
+    holds it, and commit the edges. Returns the committed edges, the
+    candidates left for the alignment matrix and the comparison count."""
+    if not old:
+        return [], list(candidates), 0
+    x, y, vel, beta, mu = np.array(
+        [(e.loc.x, e.loc.y, e.vel, e.beta, e.mu) for e in old],
+        dtype=float).T
+    loc = predict_rebel_edges(x, y, vel, beta, imu, config)
+
+    # edge index -> its candidates, as (obs, dist) in candidate order
+    hits: Dict[int, List[Tuple[PixelPoint, float]]] = {}
+    left: List[PixelPoint] = []
+    gate = config.eps_v_r * imu.v_v * config.px_per_cm * imu.t_f
+    block = max(1, _PAIR_BLOCK // len(old))
+    for start in range(0, len(candidates), block):
+        cands = candidates[start:start + block]
+        xy = np.array(cands, dtype=float)
+        d = hypot_columns((xy[:, :1] - loc.x).ravel(),
+                          (xy[:, 1:] - loc.y).ravel())
+        # the gate rejects d > gate, so a NaN distance passes it
+        near = np.flatnonzero(~(d > gate))
+        rows, cols = np.divmod(near, len(old))
+        ang = np.fromiter((angle_of(cands[r], old[c].origin)
+                           for r, c in zip(rows.tolist(), cols.tolist())),
+                          float, len(rows))
+        ok = np.abs(wrap_deg(ang - beta[cols])) <= config.delta_v + mu[cols]
+        rows, cols, d = rows[ok], cols[ok], d[near[ok]]
+        best = _first_by(rows, d)
+        taken = dict(zip(rows[best].tolist(),
+                         zip(cols[best].tolist(), d[best].tolist())))
+        for i, obs in enumerate(cands):
+            if i in taken:
+                j, dist = taken[i]
+                hits.setdefault(j, []).append((obs, dist))
+            else:
+                left.append(obs)
+
+    edges: List[RebelEdge] = []
+    for j, (e, px, py) in enumerate(zip(old, loc.x.tolist(), loc.y.tolist())):
+        est = RebelEdge(loc=PixelPoint(px, py), vel=e.vel, beta=e.beta,
+                        mu=e.mu, origin=e.origin, trust=e.trust)
+        if j in hits:
+            est = ce.estimate_rebel_edge(
+                est, min(hits[j], key=lambda h: h[1])[0], imu, config)
+        _commit(edges, est, 1 if j in hits else -1, config.circle_trust)
+    return edges, left, len(candidates) * len(old)
 
 
 class SequencingError(RuntimeError):
@@ -142,10 +274,8 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
     if frame_index <= state.frame_index:
         raise SequencingError(
             f"frame {frame_index} not after {state.frame_index}")
-    cam = config.camera
-    origin = cam.principal
+    origin = config.camera.principal
     ladder = config.circle_trust
-    comparisons = 0
 
     # (a) age ignorance regions
     psi: List[IgnoranceRegion] = []
@@ -159,92 +289,11 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
     chi = list(zip(*le.group_edges(kept, config.mu_0)))
 
     # (c) circle expert: edge stage -------------------------------------
-    predicted_n = [predict_normal_edge(e, imu, config) for e in state.normal_edges]
-    predicted_r = [_predict_rebel_edge(e, imu, config) for e in state.rebel_edges]
-
-    # predicted edge -> the observations it matched as XI2 and as XI3, each
-    # as (obs, count, dist) in observation order
-    matches: Dict[int, Tuple[list, list]] = {}
-    # observations born as normal edges: XI1, or all of chi with no prediction
-    born: List[PixelPoint] = []
-    rebel_candidates: List[PixelPoint] = []
-
-    if predicted_n:
-        order = sorted(range(len(predicted_n)), key=lambda i: (predicted_n[i].beta, i))
-        sorted_betas = [predicted_n[i].beta for i in order]
-        n_edges = len(order)
-        log_n = max(1, math.ceil(math.log2(n_edges + 1)))
-        for obs, count in chi:
-            obs_beta = angle_of(obs, origin)
-            at_origin = obs.x == origin.x and obs.y == origin.y
-            comparisons += log_n
-            best = None  # (priority, dist, edge_idx, cls)
-            for sp in _angle_neighbors(sorted_betas, obs_beta, n_edges):
-                idx = order[sp]
-                pred = predicted_n[idx]
-                dist = math.hypot(obs.x - pred.loc.x, obs.y - pred.loc.y)
-                cls = ce.classify_edge(obs_beta, at_origin, dist, pred, config,
-                                       imu)
-                comparisons += 1
-                key = (_XI_PRIORITY[cls], dist, idx)
-                if best is None or key < best[0]:
-                    best = (key, idx, cls)
-            (_prio, dist, _), idx, cls = best
-            if cls is ce.XiClass.XI2 or cls is ce.XiClass.XI3:
-                hits = matches.setdefault(idx, ([], []))
-                hits[0 if cls is ce.XiClass.XI2 else 1].append((obs, count, dist))
-            elif cls is ce.XiClass.XI1:
-                born.append(obs)
-            else:
-                rebel_candidates.append(obs)
-    else:
-        born = [obs for obs, _count in chi]
-
-    # rebel-edge matching consumes candidates before the alignment matrix
-    rebel_obs: Dict[int, List[Tuple[PixelPoint, float]]] = {}
-    alpha_candidates: List[PixelPoint] = []
-    gate = config.eps_v_r * imu.v_v * config.px_per_cm * imu.t_f
-    for obs in rebel_candidates:
-        best = None
-        for j, pr in enumerate(predicted_r):
-            comparisons += 1
-            d = obs.dist(pr.loc)
-            if d > gate:
-                continue
-            ang_err = abs(wrap_deg(angle_of(obs, pr.origin) - pr.beta))
-            if ang_err <= config.delta_v + pr.mu and (best is None or d < best[0]):
-                best = (d, j)
-        if best is None:
-            alpha_candidates.append(obs)
-        else:
-            rebel_obs.setdefault(best[1], []).append((obs, best[0]))
-
-    # commit normal edges
-    normal_edges: List[NormalEdge] = []
-    for idx, pred in enumerate(predicted_n):
-        xi2, xi3 = matches.get(idx, ((), ()))
-        if xi2 or xi3:
-            chosen = min(xi2 or xi3, key=lambda a: a[2])
-            match_count = max(1, sum(a[1] for a in xi2 + xi3))
-            est = ce.estimate_normal_edge(pred, chosen[0], match_count, imu, config)
-            delta = 1 if xi2 else -1
-        else:
-            est = pred
-            delta = -1
-        _commit(normal_edges, est, delta, ladder)
-
-    # commit rebel edges
-    rebel_edges: List[RebelEdge] = []
-    for j, pred in enumerate(predicted_r):
-        hits = rebel_obs.get(j)
-        if hits:
-            est = ce.estimate_rebel_edge(pred, min(hits, key=lambda h: h[1])[0],
-                                         imu, config)
-            delta = 1
-        else:
-            est = pred
-            delta = -1
-        _commit(rebel_edges, est, delta, ladder)
+    normal_edges, born, rebel_candidates, n_comp = _normal_edge_stage(
+        state.normal_edges, chi, imu, config)
+    rebel_edges, alpha_candidates, r_comp = _rebel_edge_stage(
+        state.rebel_edges, rebel_candidates, imu, config)
+    comparisons = n_comp + r_comp
 
     # alignment matrix, then the births of normal edges: the observations
     # gathered above, then the points the matrix recycles
@@ -288,11 +337,12 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
 
 
 def _commit(out: list, entity, delta: int, ladder: TrustLadder) -> None:
-    """Step an entity's trust by delta; unless pruned, append a copy with
-    the new trust to `out`."""
+    """Step the trust of an entity the caller has just built by delta;
+    unless pruned, append the entity to `out`."""
     trust = trust_commit(entity.trust, delta, ladder)
     if trust is not None:
-        out.append(type(entity)(**{**vars(entity), "trust": trust}))
+        entity.trust = trust
+        out.append(entity)
 
 
 def _associate(means: list, predicted: list, admits: Callable[[object, int], bool],

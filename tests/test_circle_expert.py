@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,10 +21,14 @@ def _edge(x, y, vel=2.0, mu=25.0, trust=3):
 
 
 def _classify(obs, pred):
-    """`classify_edge` on the inputs `step` computes for one pair."""
+    """`classify_edges` on the columns `step` computes, for one pair."""
     origin = CFG.camera.principal
-    return ce.classify_edge(angle_of(obs, origin), obs == origin,
-                            obs.dist(pred.loc), pred, CFG, IMU)
+    [p] = ce.classify_edges(np.array([angle_of(obs, origin)]),
+                            np.array([obs == origin]),
+                            np.array([obs.dist(pred.loc)]),
+                            np.array([pred.beta]), np.array([pred.mu]),
+                            CFG, IMU)
+    return ce.XI_BY_PRIORITY[p]
 
 
 class TestClassifyEdge:

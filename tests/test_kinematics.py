@@ -1,13 +1,15 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from geofilter.core import (CameraModel, ImuSample, NormalEdge, PixelPoint,
-                            default_config)
-from geofilter.kinematics import (angle_of, predict_normal_edge,
-                                  rotate_motion_field)
+                            RebelEdge, default_config)
+from geofilter.kinematics import (angle_of, predict_normal_edges,
+                                  predict_rebel_edges, rotate_motion_field)
 from oracles import within_error_span
 
 CAM = CameraModel(f=500.0, principal=PixelPoint(320.0, 240.0))
@@ -67,13 +69,21 @@ class TestAngleOf:
         assert -180.0 < a <= 180.0
 
 
+def _predict_one(e, imu, config):
+    """`predict_normal_edges` on a column of one edge."""
+    loc, vel = predict_normal_edges(np.array([e.loc.x]), np.array([e.loc.y]),
+                                    np.array([e.vel]), imu, config)
+    return NormalEdge(loc=PixelPoint(*loc.x.tolist(), *loc.y.tolist()),
+                      vel=vel.item(), beta=e.beta, mu=e.mu, trust=e.trust)
+
+
 class TestPredictNormalEdge:
     def test_radial_advance_no_rotation(self, config):
         # on the +x axis: averaged velocity 3 cm/s * 5 px/cm = 15 px outward
         e = NormalEdge(loc=PixelPoint(420.0, 240.0), vel=4.0, beta=0.0,
                        mu=25.0, trust=3)
         imu = ImuSample(v_v=2.0, a_v=0.0, omega=(0.0, 0.0, 0.0), t_f=1.0)
-        out = predict_normal_edge(e, imu, config)
+        out = _predict_one(e, imu, config)
         assert out.loc.x == pytest.approx(435.0)
         assert out.loc.y == pytest.approx(240.0)
         assert out.vel == pytest.approx(3.0)
@@ -82,7 +92,7 @@ class TestPredictNormalEdge:
     def test_edge_at_origin_does_not_translate(self, config, imu):
         e = NormalEdge(loc=PixelPoint(320.0, 240.0), vel=2.0, beta=0.0,
                        mu=25.0, trust=3)
-        out = predict_normal_edge(e, imu, config)
+        out = _predict_one(e, imu, config)
         assert out.loc == PixelPoint(320.0, 240.0)
 
     @given(st.floats(min_value=-150, max_value=150),
@@ -95,13 +105,58 @@ class TestPredictNormalEdge:
         e = NormalEdge(loc=PixelPoint(320.0 + dx, 240.0 + dy), vel=v, beta=0.0,
                        mu=25.0, trust=3)
         imu = ImuSample(v_v=v, a_v=0.0, omega=(0.0, 0.0, 0.0), t_f=1.0)
-        out = predict_normal_edge(e, imu, config)
+        out = _predict_one(e, imu, config)
         r0 = e.loc.dist(config.camera.principal)
         r1 = out.loc.dist(config.camera.principal)
         assert r1 == pytest.approx(r0 + 5.0 * v, rel=1e-9)
         # direction preserved
         assert angle_of(out.loc, config.camera.principal) == pytest.approx(
             angle_of(e.loc, config.camera.principal), abs=1e-6)
+
+
+# locations: free points, points near and on the principal point (where the
+# outward direction is (0, 0)), and far ones
+COORDS = st.one_of(st.floats(-1e4, 1e4),
+                   st.sampled_from([320.0, 240.0, 320.0000000000001, 0.0]))
+OMEGAS = st.tuples(*[st.one_of(st.just(0.0), st.floats(-0.05, 0.05))] * 3)
+IMUS = st.builds(ImuSample, v_v=st.floats(0.0, 50.0), a_v=st.just(0.0),
+                 omega=OMEGAS, t_f=st.sampled_from([1.0, 0.1, 0.033]))
+
+
+@given(st.lists(st.tuples(COORDS, COORDS, st.floats(-50.0, 50.0)),
+                max_size=30), IMUS)
+@settings(max_examples=300, deadline=None)
+def test_predict_normal_edges_match_oracle(rows, imu):
+    """The column form gives every edge the bits of the per-edge oracle."""
+    config = default_config()
+    rows = rows + [(320.0, 240.0, 1.0)]  # an edge on the principal point
+    edges = [NormalEdge(loc=PixelPoint(x, y), vel=v, beta=0.0, mu=25.0,
+                        trust=3) for x, y, v in rows]
+    x, y, vel = (np.array(c) for c in zip(*rows))
+    loc, v_pred = predict_normal_edges(x, y, vel, imu, config)
+    got = [NormalEdge(loc=PixelPoint(px, py), vel=v, beta=0.0, mu=25.0,
+                      trust=3)
+           for px, py, v in zip(loc.x.tolist(), loc.y.tolist(),
+                                v_pred.tolist())]
+    assert repr(got) == repr(
+        [oracles.predict_normal_edge(e, imu, config) for e in edges])
+
+
+@given(st.lists(st.tuples(COORDS, COORDS, st.floats(-50.0, 50.0),
+                          st.floats(-180.0, 180.0)), max_size=30), IMUS)
+@settings(max_examples=300, deadline=None)
+def test_predict_rebel_edges_match_oracle(rows, imu):
+    config = default_config()
+    edges = [RebelEdge(loc=PixelPoint(x, y), vel=v, beta=b, mu=5.0,
+                       origin=PixelPoint(0.0, 0.0), trust=3)
+             for x, y, v, b in rows]
+    loc = predict_rebel_edges(np.array([e.loc.x for e in edges]),
+                              np.array([e.loc.y for e in edges]),
+                              np.array([e.vel for e in edges]),
+                              np.array([e.beta for e in edges]), imu, config)
+    assert repr(list(zip(loc.x.tolist(), loc.y.tolist()))) == repr(
+        [tuple(oracles.predict_rebel_edge(e, imu, config).loc)
+         for e in edges])
 
 
 class TestWithinErrorSpan:

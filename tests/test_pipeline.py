@@ -1,5 +1,6 @@
 import copy
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,9 @@ class TestAngleNeighbors:
     @settings(max_examples=100)
     def test_contains_the_circularly_nearest(self, betas, obs):
         betas = sorted(betas)
-        picked = _angle_neighbors(betas, obs, len(betas))
+        rows, picked = _angle_neighbors(np.array(betas), np.array([obs]))
+        assert rows.tolist() == [0] * len(picked)
+        picked = picked.tolist()
         assert len(picked) >= min(8, len(betas))
         nearest = min(range(len(betas)),
                       key=lambda i: abs(wrap_deg(betas[i] - obs)))
