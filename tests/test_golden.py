@@ -1,9 +1,12 @@
 """Golden outputs: the per-frame state and dimensionality report of five
 fixed scenes, pinned by hash.
 
-A refactor that claims unchanged behaviour must keep these hashes. Each digest
-covers every frame's `state_to_dict` (serialised as `state.jsonl` writes it)
-and the report's `(total, comparisons)`.
+Each scene has two digests. The state digest covers every frame's
+`state_to_dict` (serialised as `state.jsonl` writes it) and the report's
+`total`; a refactor that claims unchanged behaviour must keep it. The
+comparisons digest covers each frame's `comparisons`, which counts work
+rather than state, so a change to what it counts re-pins it alone and cannot
+hide a change of state.
 """
 
 import hashlib
@@ -74,17 +77,30 @@ def sparse_frames():
     return frames
 
 
-GOLDEN = {
+GOLDEN_STATES = {
     "crowd":
-        "6ebdc770002de6dc9ec314a91fa65195eb06cdfe2f96cdb42c6bfd3caab083f4",
+        "ffd967c4cee3e355711ecd1ac8b3840610ea5bf983c658e45e2e7119055d63d5",
     "movers":
-        "4c135a3584d20339f60ac203711df174332b2258b7ec55ed517c7bae04a886d1",
+        "3947b7617ef078d8e5e5fea5b9e5cdf5d54864a6e9d16ac7f09eff47da321573",
     "dropped":
-        "e57906ae2369e8a50517cfc067a14c099d317f15d30dc652962a1188e043e87e",
+        "7cc85947bb81a96fcb6a087ab33ebe67ea8bd80d5d293e73646fd8d40a8b4e41",
     "noisy":
-        "4dda47a78f0b0373bebc986c1b2259a53e2a105f89d901d6d8a74e2c574b4cd4",
+        "6135a838a8fe788072bede9e9dbb30e0990d9b18e12ec67681d95f69673138be",
     "sparse":
-        "73362c6d50d726e73357026ad66cd61a89bae0fd1fcaa8701d4a77e6c4106f88",
+        "3ddd4feae79ac9ed3f320a23bd0ba354d0dcd67564fb996e8f17898188d821bd",
+}
+
+GOLDEN_COMPARISONS = {
+    "crowd":
+        "cdb2321b296c943f9753c655e061181e91a070819eae373f287412a5f7e1c0fb",
+    "movers":
+        "bb5d5bae7249419bd208b391ac968afb00e12f4136bf11227667793015f73519",
+    "dropped":
+        "fde8010790e40278f7a1727c3de4759b352d083db7904847746aacf5a5710b10",
+    "noisy":
+        "e00dee676f3a8fc65bac860d5f685318328f4045eae4eabc539306bc63bf383f",
+    "sparse":
+        "28d49306c1332c42a8272bc1e407439f41ace4485e108e1ced9a2de076528a21",
 }
 
 
@@ -98,16 +114,23 @@ def scene_frames(name):
             for k in range(spec.frames)]
 
 
-def scene_digest(name):
-    digest = hashlib.sha256()
+def scene_digests(name):
+    """The state digest and the comparisons digest of a scene."""
+    states, counts = hashlib.sha256(), hashlib.sha256()
     state = FilterState()
     for k, (edges, imu) in enumerate(scene_frames(name)):
         state, rep = step(state, edges, imu, CFG, frame_index=k)
         line = json.dumps(state_to_dict(state), sort_keys=True)
-        digest.update(f"{line}\n{rep.total},{rep.comparisons}\n".encode())
-    return digest.hexdigest()
+        states.update(f"{line}\n{rep.total}\n".encode())
+        counts.update(f"{rep.comparisons}\n".encode())
+    return states.hexdigest(), counts.hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", sorted(GOLDEN_STATES))
 def test_golden_state_hash(name):
-    assert scene_digest(name) == GOLDEN[name]
+    assert scene_digests(name)[0] == GOLDEN_STATES[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMPARISONS))
+def test_golden_comparisons_hash(name):
+    assert scene_digests(name)[1] == GOLDEN_COMPARISONS[name]

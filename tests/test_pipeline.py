@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geofilter.core import (FilterState, IgnoranceRegion, ImuSample,
@@ -31,15 +31,21 @@ class TestAngleNeighbors:
                     max_size=40, unique=True),
            st.floats(min_value=-180.0, max_value=180.0))
     @settings(max_examples=100)
+    # nine entries all exactly 1.0 away: any eight of them are the nearest
+    @example(betas=[0.0, 5.627779303361639e-49, 4.9613955312504815e-73,
+                    8.538885775899518e-110, 1.9247711603943794e-112,
+                    2.457518184686015e-131, 1.1971824963901835e-217,
+                    6.952081124857247e-227, 5e-324], obs=1.0)
     def test_contains_the_circularly_nearest(self, betas, obs):
+        """The picks hold an entry at the least distance, so the unique
+        nearest entry whenever there is one."""
         betas = sorted(betas)
         rows, picked = _angle_neighbors(np.array(betas), np.array([obs]))
         assert rows.tolist() == [0] * len(picked)
         picked = picked.tolist()
         assert len(picked) >= min(8, len(betas))
-        nearest = min(range(len(betas)),
-                      key=lambda i: abs(wrap_deg(betas[i] - obs)))
-        assert nearest in picked
+        dist = [abs(wrap_deg(b - obs)) for b in betas]
+        assert min(dist) in [dist[i] for i in picked]
 
 
 def _scene(seed=0, frames=8, n_points=50):
