@@ -6,6 +6,7 @@ and last-K baselines follow."""
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import replace
@@ -130,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config")
     run.add_argument("--out", required=True)
     run.add_argument("--images", help="directory of companion PGM images")
-    run.add_argument("--threshold", type=float, default=20.0)
+    run.add_argument("--threshold", type=float, default=inspect.signature(
+        detect_fast9).parameters["threshold"].default)
     run.set_defaults(func=_cmd_run)
 
     synth = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -142,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--width", type=float, default=camera.width)
     synth.add_argument("--height", type=float, default=camera.height)
     synth.add_argument("--focal", type=float, default=camera.f)
-    synth.add_argument("--speed", type=float, default=3.0)
-    synth.add_argument("--noise", type=float, default=0.0)
+    synth.add_argument("--speed", type=float, default=SceneSpec.v_v)
+    synth.add_argument("--noise", type=float, default=SceneSpec.noise_sigma)
     synth.add_argument("--movers",
                        help='JSON list of [x, y, vx, vy, start_frame]')
     synth.set_defaults(func=_cmd_synth)

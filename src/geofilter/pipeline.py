@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +43,10 @@ class DimensionalityReport:
     s: int = 0
     psi: int = 0
     alpha: int = 0
-    comparisons: int = 0  # instrumented circle-expert comparison count
+    # the circle expert's tests: the edge stage's classified pairs and rebel
+    # candidate x edge pairs, the edges offered to each circle seed's member
+    # test, and the circle association's gate tests
+    comparisons: int = 0
     edges: int = 0  # raw detections `step` received; not part of `total`
 
     @property
@@ -177,8 +180,7 @@ def _normal_edge_stage(old: List[NormalEdge], chi: List[Tuple[PixelPoint, int]],
                              obs_xy[rows, 1] - loc.y[idx])
         prio = ce.classify_edges(obs_beta[rows], at_origin[rows], dist,
                                  beta[idx], mu[idx], config, imu)
-        comparisons = (len(chi) * max(1, math.ceil(math.log2(len(old) + 1)))
-                       + len(rows))
+        comparisons = len(rows)
         best = _first_by(rows, prio, dist, idx)
         for (obs, count), p, i, d in zip(chi, prio[best].tolist(),
                                          idx[best].tolist(),
@@ -268,12 +270,16 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
          config: FilterConfig,
          frame_index: Optional[int] = None) -> Tuple[FilterState, DimensionalityReport]:
     """Run one full frame through the filter and return the new state plus a
-    dimensionality report."""
+    dimensionality report. A detection with a NaN or infinite coordinate
+    raises ValueError before any stage runs."""
     if frame_index is None:
         frame_index = state.frame_index + 1
     if frame_index <= state.frame_index:
         raise SequencingError(
             f"frame {frame_index} not after {state.frame_index}")
+    if not all(map(math.isfinite, chain.from_iterable(frame))):
+        bad = next(p for p in frame if not all(map(math.isfinite, p)))
+        raise ValueError(f"frame {frame_index}: non-finite detection {bad}")
     origin = config.camera.principal
     ladder = config.circle_trust
 
@@ -376,41 +382,31 @@ def _associate(means: list, predicted: list, admits: Callable[[object, int], boo
 def _circle_stage(edges: list, prev_circles: List[Circle], imu: ImuSample,
                   config: FilterConfig, rebel: bool) -> Tuple[List[Circle], int]:
     """Group edges into mean circles and associate them with the predicted
-    circles. Rebel edges are seeded in list order, and a seed's grouping
-    window holds every ungrouped edge. Normal edges are seeded in angle
-    order, and the window holds the ungrouped edges within eps_beta_n of the
-    seed (`abs(wrap_deg(beta - seed.beta)) < eps_beta_n`), in angle order.
-    `comparisons` counts the window sizes and the association's gate tests."""
+    circles. Rebel edges are seeded in list order, normal edges in angle
+    order (ties by index). Each seed is the first ungrouped edge, always its
+    own member, and its member test runs over every ungrouped edge in seed
+    order. Returns the circles and the comparison count."""
     means: List[Circle] = []
     member_locs: List[List[PixelPoint]] = []
     if rebel:
         group = ce.group_rebel_circle
-        order = range(len(edges))
+        pool = list(range(len(edges)))
         admits = lambda pred, k: ce.match_rebel_circle(  # noqa: E731
             pred, means[k], member_locs[k], config, imu)
     else:
         group = ce.group_normal_circle
-        order = sorted(range(len(edges)), key=lambda i: (edges[i].beta, i))
+        pool = sorted(range(len(edges)), key=lambda i: (edges[i].beta, i))
         admits = lambda pred, k: ce.match_normal_circle(  # noqa: E731
             pred, means[k], member_locs[k], config)
     comparisons = 0
-    assigned = [False] * len(edges)
-    eps = config.eps_beta_n
-    for si in order:
-        if assigned[si]:
-            continue
-        seed = edges[si]
-        window = [i for i in order if not assigned[i] and (
-            rebel or abs(wrap_deg(edges[i].beta - seed.beta)) < eps)]
-        subpool = [edges[i] for i in window]
-        comparisons += len(subpool)
-        circle = group(seed, subpool, config, imu)
-        member_global = [window[m] for m in circle.members]
-        for g in member_global:
-            assigned[g] = True
-        circle.members = member_global
+    while pool:
+        comparisons += len(pool)
+        circle = group(edges[pool[0]], [edges[i] for i in pool], config, imu)
+        taken = set(circle.members)
+        circle.members = [pool[m] for m in circle.members]
         means.append(circle)
-        member_locs.append([edges[g].loc for g in member_global])
+        member_locs.append([edges[g].loc for g in circle.members])
+        pool = [g for m, g in enumerate(pool) if m not in taken]
 
     predicted = [_predict_circle(c, imu, config) for c in prev_circles]
     out, n_comp = _associate(means, predicted, admits, ce.estimate_circle,

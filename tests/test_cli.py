@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from dataclasses import replace
@@ -10,6 +11,7 @@ from geofilter.core import (CameraModel, PixelPoint, config_from_text,
                             config_to_text, default_config)
 from geofilter.detect import detect_fast9
 from geofilter.pipeline import baseline_store
+from geofilter.scene_synth import SceneSpec
 
 
 def _edges_column(out):
@@ -60,6 +62,23 @@ class TestReadPgm:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
                                              f"{re.escape(message)}"):
             cli.read_pgm(path)
+
+class TestDefaults:
+    def test_parser_defaults_come_from_their_owners(self):
+        """Each default the parser repeats is the value of the code that
+        owns it."""
+        parser = cli.build_parser()
+        run = parser.parse_args(["run", "--frames", "f", "--imu", "i",
+                                 "--out", "o"])
+        assert run.threshold == inspect.signature(
+            detect_fast9).parameters["threshold"].default
+        synth = parser.parse_args(["synth", "--out", "o"])
+        camera = default_config().camera
+        spec = SceneSpec(n_points=1, frames=1, camera=camera)
+        assert (synth.speed, synth.noise) == (spec.v_v, spec.noise_sigma)
+        assert (synth.width, synth.height, synth.focal) == (
+            camera.width, camera.height, camera.f)
+
 
 class TestSynth:
     def test_writes_dataset(self, dataset):

@@ -92,15 +92,15 @@ GOLDEN_STATES = {
 
 GOLDEN_COMPARISONS = {
     "crowd":
-        "cdb2321b296c943f9753c655e061181e91a070819eae373f287412a5f7e1c0fb",
+        "226ea5c07bb64e59d5e9c011c7903027440854f6f06e6a7ee0c84904f38eaf25",
     "movers":
-        "bb5d5bae7249419bd208b391ac968afb00e12f4136bf11227667793015f73519",
+        "b97fffa4e589c575263ad2f05ac2b84122b757542138ee13ff0677b926715c30",
     "dropped":
-        "fde8010790e40278f7a1727c3de4759b352d083db7904847746aacf5a5710b10",
+        "91c7057b7b87032f94b5917ef5e83fef4da1c01a4c7ad9b71718931efccc3929",
     "noisy":
-        "e00dee676f3a8fc65bac860d5f685318328f4045eae4eabc539306bc63bf383f",
+        "dc85ca5212d2c62baad914b67b8af8dfbe0bb9edf2fcdd53ae0165eafd1b3f3a",
     "sparse":
-        "28d49306c1332c42a8272bc1e407439f41ace4485e108e1ced9a2de076528a21",
+        "4f8be56dbac28a6b7c1e7e565cce664fe9323fdb0f449f1c2c0f78f83860851a",
 }
 
 

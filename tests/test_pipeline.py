@@ -1,4 +1,6 @@
 import copy
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,6 +137,32 @@ class TestStep:
         for k in range(1, 4):
             st_, _ = step(st_, truth.edges(k) + outside, truth.imu[k], cfg,
                           frame_index=k)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_detections(self, bad):
+        cfg, truth = _scene(frames=2)
+        st_, _ = step(FilterState(), truth.edges(0), truth.imu[0], cfg,
+                      frame_index=0)
+        snapshot = copy.deepcopy(st_)
+        frame = truth.edges(1) + [PixelPoint(bad, 100.0),
+                                  PixelPoint(5.0, bad)]
+        with pytest.raises(ValueError, match=(
+                rf"^frame 1: non-finite detection "
+                rf"PixelPoint\(x={bad}, y=100.0\)$")):
+            step(st_, frame, truth.imu[1], cfg, frame_index=1)
+        assert st_ == snapshot
+
+    def test_zero_normal_angle_gate_steps(self):
+        # no edge passes an angle test of `< 0`, so each normal circle holds
+        # only its seed
+        cfg, truth = _scene(seed=1, frames=4)
+        cfg = replace(cfg, eps_beta_n=0.0)
+        st_ = FilterState()
+        for k in range(4):
+            st_, rep = step(st_, truth.edges(k), truth.imu[k], cfg,
+                            frame_index=k)
+            assert rep.c_n > 0
+            assert all(len(c.members) == 1 for c in st_.normal_circles)
 
     def test_alignment_rows_never_exceed_two_entries(self):
         cfg, truth = _scene(seed=4, frames=10, n_points=60)

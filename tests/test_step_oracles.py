@@ -1,13 +1,14 @@
 """Exact oracles for the hot loops of `pipeline.step`.
 
-Each oracle is an earlier form of one stage, kept verbatim: the square
-stage's furthest-couple search, the circle stage's full-scan grouping
-windows, the per-pair edge classification, and the per-edge and per-pair
-loops of the normal-edge and rebel-edge stages, which `step` now runs on
-numpy columns (their per-element parts are in `oracles.py`). The stages must
-return what their oracle returns, compared by `repr` (which tells -0.0 from
-0.0 and lets NaN equal NaN), on generated inputs that sit on the boundary of
-every gate they prune or branch by.
+Each oracle is an earlier form of one stage: the square stage's
+furthest-couple search, the circle stage's angle windows, the per-pair edge
+classification, and the per-edge and per-pair loops of the normal-edge and
+rebel-edge stages, which `step` now runs on numpy columns (their
+per-element parts are in `oracles.py`). The stages must return what their
+oracle returns, compared by `repr` (which tells -0.0 from 0.0 and lets NaN
+equal NaN), on generated inputs that sit on the boundary of every gate they
+prune or branch by. The oracles count comparisons by the definition on
+`DimensionalityReport.comparisons`.
 """
 
 import math
@@ -91,6 +92,8 @@ def _square_stage_oracle(circles, prev_squares, imu, config):
 
 
 def _circle_stage_oracle(edges, prev_circles, imu, config, rebel):
+    """The circle stage as it grouped each normal seed: from the ungrouped
+    edges within eps_beta_n of it, the first test of the member test."""
     means: List[Circle] = []
     member_locs: List[List[PixelPoint]] = []
     if rebel:
@@ -113,7 +116,9 @@ def _circle_stage_oracle(edges, prev_circles, imu, config, rebel):
                   if not assigned[i] and (rebel or abs(wrap_deg(
                       edges[i].beta - seed.beta)) < config.eps_beta_n)]
         subpool = [edges[i] for i in window]
-        comparisons += len(subpool)
+        # the count's definition: every ungrouped edge is offered to the
+        # seed's member test, whatever the window holds
+        comparisons += assigned.count(False)
         circle = group(seed, subpool, config, imu)
         member_global = [window[m] for m in circle.members]
         for g in member_global:
@@ -150,11 +155,9 @@ def _normal_edge_stage_oracle(old, chi, imu, config):
                        key=lambda i: (predicted_n[i].beta, i))
         sorted_betas = [predicted_n[i].beta for i in order]
         n_edges = len(order)
-        log_n = max(1, math.ceil(math.log2(n_edges + 1)))
         for obs, count in chi:
             obs_beta = angle_of(obs, origin)
             at_origin = obs.x == origin.x and obs.y == origin.y
-            comparisons += log_n
             best = None  # (priority, dist, edge_idx, cls)
             for sp in oracles.angle_neighbors(sorted_betas, obs_beta, n_edges):
                 idx = order[sp]
@@ -328,6 +331,8 @@ def test_square_stage_matches_oracle(circ, prev, imu, config):
        IMUS, st.sampled_from([20.0, 1.0, 90.0, 180.0, 400.0]))
 @settings(max_examples=300, deadline=None)
 def test_circle_stage_windows_match_oracle(edges, prev, imu, eps_beta_n):
+    """Grouping from every ungrouped edge gives the circles the angle
+    windows give."""
     config = replace(CFG, eps_beta_n=eps_beta_n)
     prev = [replace(c, kind="normal") for c in prev]
     assert repr(pipeline._circle_stage(edges, prev, imu, config, rebel=False)) \
@@ -339,8 +344,8 @@ def test_circle_stage_windows_match_oracle(edges, prev, imu, eps_beta_n):
        IMUS)
 @settings(max_examples=100, deadline=None)
 def test_circle_stage_windows_match_oracle_off_range(edges, imu):
-    """Betas outside [-180, 180] do not come out of `step`, but the windows
-    still hold what the full scan holds."""
+    """Betas outside [-180, 180] do not come out of `step`, but the
+    circles are still those of the angle windows."""
     assert repr(pipeline._circle_stage(edges, [], imu, CFG, rebel=False)) \
         == repr(_circle_stage_oracle(edges, [], imu, CFG, rebel=False))
 
