@@ -168,43 +168,40 @@ def estimate_rebel_edge(pred: RebelEdge, matched_obs: PixelPoint, imu: ImuSample
     return replace(pred, loc=loc, vel=vel, mu=mu, beta=beta)
 
 
-def _members_normal(seed: NormalEdge, pool: Sequence[NormalEdge],
-                    config: FilterConfig, imu: ImuSample) -> List[int]:
-    out = []
-    for i, e in enumerate(pool):
-        if e is seed:
-            out.append(i)
-            continue
-        if (abs(wrap_deg(e.beta - seed.beta)) < config.eps_beta_n
-                and abs(seed.vel) <= abs(e.vel) + config.eps_v_n * imu.v_v):
-            out.append(i)
-    return out
+def circle_members(angle: np.ndarray, speed: np.ndarray, seed: int,
+                   eps_beta: float, tol: float) -> np.ndarray:
+    """The member test of a circle seed over edge columns: the mask of the
+    edges whose grouping angle is strictly within eps_beta of the seed's and
+    whose speed plus tol is at least the seed's, and of the seed itself."""
+    mask = ((np.abs(wrap_deg(angle - angle[seed])) < eps_beta)
+            & (speed[seed] <= speed + tol))
+    mask[seed] = True
+    return mask
 
 
-def _circle_geometry(locs: Sequence[PixelPoint], mu_0: float) -> Tuple[PixelPoint, float]:
-    cx = sum(p.x for p in locs) / len(locs)
-    cy = sum(p.y for p in locs) / len(locs)
-    center = PixelPoint(cx, cy)
-    radius = max(max(p.dist(center) for p in locs), mu_0)
-    return center, radius
-
-
-def _mean_angle(angles: Sequence[float], ref: float) -> float:
-    """Arithmetic mean of wrapped angles taken relative to a reference."""
-    return wrap_deg(ref + sum(wrap_deg(a - ref) for a in angles) / len(angles))
-
-
-def group_normal_circle(seed: NormalEdge, pool: Sequence[NormalEdge],
-                        config: FilterConfig, imu: ImuSample) -> Circle:
-    """Group pool edges kinematically compatible with the seed into a circle."""
-    member_ids = _members_normal(seed, pool, config, imu)
-    members = [pool[i] for i in member_ids]
-    center, radius = _circle_geometry([e.loc for e in members], config.mu_0)
-    vel = sum(abs(e.vel) for e in members) / len(members)
-    beta = _mean_angle([e.beta for e in members], seed.beta)
-    return Circle(kind="normal", loc=center, radius=radius, vel=vel, beta=beta,
-                  trust=trust_init("normal_circle", config.circle_trust),
-                  members=member_ids, origin=config.camera.principal)
+def build_circle(edges: Sequence, ids: List[int], angles: Sequence[float],
+                 config: FilterConfig) -> Circle:
+    """The mean circle of the edges `ids`, seed first, and their grouping
+    angles, averaged about the seed's. A rebel circle's origin is the mean of
+    its members' origins, a normal circle's the principal point."""
+    members = [edges[i] for i in ids]
+    n = len(members)
+    center = PixelPoint(sum(e.loc.x for e in members) / n,
+                        sum(e.loc.y for e in members) / n)
+    radius = max(max(e.loc.dist(center) for e in members), config.mu_0)
+    vel = sum(abs(e.vel) for e in members) / n
+    ref = angles[0]
+    beta = wrap_deg(ref + sum(wrap_deg(a - ref) for a in angles) / n)
+    if isinstance(members[0], RebelEdge):
+        kind, trust_class = "rebel", "rebel"
+        origin = PixelPoint(sum(e.origin.x for e in members) / n,
+                            sum(e.origin.y for e in members) / n)
+    else:
+        kind, trust_class = "normal", "normal_circle"
+        origin = config.camera.principal
+    return Circle(kind=kind, loc=center, radius=radius, vel=vel, beta=beta,
+                  trust=trust_init(trust_class, config.circle_trust),
+                  members=ids, origin=origin)
 
 
 def circle_overlap_percentage(member_locs: Sequence[PixelPoint],
@@ -253,27 +250,3 @@ def estimate_circle(pred: Circle, mean: Circle, ladder: TrustLadder,
         vel=estimate_trusted(pred.vel, mean.vel, pred.trust, tr_c),
         beta=estimate_trusted_angle(pred.beta, mean.beta, pred.trust, tr_c),
         trust=pred.trust + delta, members=mean.members)
-
-
-def group_rebel_circle(seed: RebelEdge, pool: Sequence[RebelEdge],
-                       config: FilterConfig, imu: ImuSample) -> Circle:
-    """Group rebel edges around a seed; the grouping angle is the edge angle
-    plus its deviation."""
-    seed_angle = wrap_deg(seed.beta + seed.mu)
-    member_ids = []
-    for i, e in enumerate(pool):
-        if e is seed:
-            member_ids.append(i)
-            continue
-        if (abs(wrap_deg(wrap_deg(e.beta + e.mu) - seed_angle)) < config.eps_beta_r
-                and abs(seed.vel) <= abs(e.vel) + config.eps_v_r * imu.v_v):
-            member_ids.append(i)
-    members = [pool[i] for i in member_ids]
-    center, radius = _circle_geometry([e.loc for e in members], config.mu_0)
-    vel = sum(abs(e.vel) for e in members) / len(members)
-    beta = _mean_angle([wrap_deg(e.beta + e.mu) for e in members], seed_angle)
-    ox = sum(e.origin.x for e in members) / len(members)
-    oy = sum(e.origin.y for e in members) / len(members)
-    return Circle(kind="rebel", loc=center, radius=radius, vel=vel, beta=beta,
-                  trust=trust_init("rebel", config.circle_trust),
-                  members=member_ids, origin=PixelPoint(ox, oy))

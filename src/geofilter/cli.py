@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import formats, render
 from .core import (CameraModel, FilterState, PixelPoint, config_from_text,
@@ -88,17 +88,32 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _movers(text: str) -> Tuple[MoverSpec, ...]:
+    """The movers of `--movers`, a JSON list of [x, y, vx, vy, start_frame]
+    of finite numbers and a whole start frame; ValueError names any other."""
+    movers = json.loads(text)
+    if not isinstance(movers, list):
+        raise ValueError(f"--movers: not a JSON list: {text}")
+    for k, m in enumerate(movers):
+        if not (isinstance(m, list) and len(m) == 5
+                and all(type(v) in (int, float)
+                        and abs(v) <= sys.float_info.max for v in m)
+                and m[4] == int(m[4])):
+            raise ValueError(f"--movers: mover {k} is not [x, y, vx, vy, "
+                             f"start_frame] of finite numbers with a whole "
+                             f"start frame: {json.dumps(m)}")
+    return tuple(MoverSpec(start=(m[0], m[1]), velocity=(m[2], m[3]),
+                           start_frame=int(m[4])) for m in movers)
+
+
 def _cmd_synth(args) -> int:
+    movers = _movers(args.movers) if args.movers else ()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     camera = CameraModel(f=args.focal, principal=PixelPoint(args.width / 2,
                                                             args.height / 2),
                          width=args.width, height=args.height)
     config = replace(default_config(), camera=camera)
-    movers = tuple(
-        MoverSpec(start=(m[0], m[1]), velocity=(m[2], m[3]),
-                  start_frame=int(m[4]))
-        for m in (json.loads(args.movers) if args.movers else []))
     spec = SceneSpec(n_points=args.points, frames=args.n_frames, camera=camera,
                      v_v=args.speed, noise_sigma=args.noise, movers=movers)
     truth = generate(args.seed, spec)

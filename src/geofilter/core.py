@@ -124,6 +124,8 @@ class FilterConfig:
             raise ConfigValueError("mu_0 must have a finite square", "mu_0")
         if self.psi_lifetime < 1:
             raise ConfigValueError("psi_lifetime must be >= 1", "psi_lifetime")
+        if not self.px_per_cm > 0:
+            raise ConfigValueError("px_per_cm must be positive", "px_per_cm")
         for name in ("delta_v", "mu_0", "eps_beta_n", "eps_beta_r", "eps_beta_s",
                      "eps_beta", "eps_v_n", "eps_v_r", "eps_v", "eps_v_s"):
             if getattr(self, name) < 0:

@@ -381,32 +381,36 @@ def _associate(means: list, predicted: list, admits: Callable[[object, int], boo
 
 def _circle_stage(edges: list, prev_circles: List[Circle], imu: ImuSample,
                   config: FilterConfig, rebel: bool) -> Tuple[List[Circle], int]:
-    """Group edges into mean circles and associate them with the predicted
-    circles. Rebel edges are seeded in list order, normal edges in angle
-    order (ties by index). Each seed is the first ungrouped edge, always its
-    own member, and its member test runs over every ungrouped edge in seed
-    order. Returns the circles and the comparison count."""
+    """Group edges into mean circles, a normal edge by its beta and a rebel
+    by beta + mu, and associate them with the predicted circles. Rebel edges
+    are seeded in list order, normal edges in angle order (ties by index).
+    Each seed is the first ungrouped edge, and its member test runs over
+    every ungrouped edge. Returns the circles and the comparison count."""
+    angle = np.array([e.beta for e in edges], dtype=float)
+    speed = np.abs([e.vel for e in edges], dtype=float)
     means: List[Circle] = []
     member_locs: List[List[PixelPoint]] = []
     if rebel:
-        group = ce.group_rebel_circle
-        pool = list(range(len(edges)))
+        angle = wrap_deg(angle + [e.mu for e in edges])
+        eps_beta, tol = config.eps_beta_r, config.eps_v_r * imu.v_v
+        pool = np.arange(len(edges))
         admits = lambda pred, k: ce.match_rebel_circle(  # noqa: E731
             pred, means[k], member_locs[k], config, imu)
     else:
-        group = ce.group_normal_circle
-        pool = sorted(range(len(edges)), key=lambda i: (edges[i].beta, i))
+        eps_beta, tol = config.eps_beta_n, config.eps_v_n * imu.v_v
+        pool = np.argsort(angle, kind="stable")
         admits = lambda pred, k: ce.match_normal_circle(  # noqa: E731
             pred, means[k], member_locs[k], config)
+    angle, speed = angle[pool], speed[pool]  # in seed order
     comparisons = 0
-    while pool:
+    while len(pool):
         comparisons += len(pool)
-        circle = group(edges[pool[0]], [edges[i] for i in pool], config, imu)
-        taken = set(circle.members)
-        circle.members = [pool[m] for m in circle.members]
-        means.append(circle)
-        member_locs.append([edges[g].loc for g in circle.members])
-        pool = [g for m, g in enumerate(pool) if m not in taken]
+        mask = ce.circle_members(angle, speed, 0, eps_beta, tol)
+        ids = pool[mask].tolist()
+        means.append(ce.build_circle(edges, ids, angle[mask].tolist(), config))
+        member_locs.append([edges[i].loc for i in ids])
+        keep = ~mask
+        pool, angle, speed = pool[keep], angle[keep], speed[keep]
 
     predicted = [_predict_circle(c, imu, config) for c in prev_circles]
     out, n_comp = _associate(means, predicted, admits, ce.estimate_circle,

@@ -1,11 +1,11 @@
 """Plain-Python forms of computations that `src/` runs in other forms, kept
 as oracles for them: two geometric tests that `src/` computes inline, and
-the per-element forms of the edge stage of `step`, which `src/` runs on
-numpy columns."""
+the per-element forms of the edge stage and of the circle member test of
+`step`, which `src/` runs on numpy columns."""
 
 import bisect
 from dataclasses import replace
-from typing import List
+from typing import List, Sequence
 
 from geofilter import circle_expert as ce
 from geofilter.core import (FilterConfig, IgnoranceRegion, ImuSample,
@@ -105,3 +105,35 @@ def classify_edge(obs_beta: float, at_origin: bool, dist: float,
     if in_span:
         return ce.XiClass.XI1 if mag_ok else ce.XiClass.XI4
     return ce.XiClass.XI5
+
+
+# -- the circle member test, one element at a time ----------------------------
+
+def members_normal(seed: NormalEdge, pool: Sequence[NormalEdge],
+                   config: FilterConfig, imu: ImuSample) -> List[int]:
+    """The pool indices of a normal seed's members."""
+    out = []
+    for i, e in enumerate(pool):
+        if e is seed:
+            out.append(i)
+            continue
+        if (abs(wrap_deg(e.beta - seed.beta)) < config.eps_beta_n
+                and abs(seed.vel) <= abs(e.vel) + config.eps_v_n * imu.v_v):
+            out.append(i)
+    return out
+
+
+def members_rebel(seed: RebelEdge, pool: Sequence[RebelEdge],
+                  config: FilterConfig, imu: ImuSample) -> List[int]:
+    """The pool indices of a rebel seed's members; the grouping angle is the
+    edge angle plus its deviation."""
+    seed_angle = wrap_deg(seed.beta + seed.mu)
+    member_ids = []
+    for i, e in enumerate(pool):
+        if e is seed:
+            member_ids.append(i)
+            continue
+        if (abs(wrap_deg(wrap_deg(e.beta + e.mu) - seed_angle)) < config.eps_beta_r
+                and abs(seed.vel) <= abs(e.vel) + config.eps_v_r * imu.v_v):
+            member_ids.append(i)
+    return member_ids

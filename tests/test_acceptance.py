@@ -222,8 +222,12 @@ def test_6_brute_force_equivalence(capsys):
                                               cfg.camera.principal),
                                 mu=25.0, trust=3)
                      for (x, y), v in zip(pts, vels)]
-            seed = edges[int(rng.integers(0, n))]
-            got = ce.group_normal_circle(seed, edges, cfg, imu).members
+            si = int(rng.integers(0, n))
+            seed = edges[si]
+            got = np.flatnonzero(ce.circle_members(
+                np.array([e.beta for e in edges]),
+                np.abs([e.vel for e in edges]), si, cfg.eps_beta_n,
+                cfg.eps_v_n * imu.v_v)).tolist()
             expect = [i for i, e in enumerate(edges) if e is seed or (
                 abs(wrap_deg(e.beta - seed.beta)) < cfg.eps_beta_n
                 and abs(seed.vel) <= abs(e.vel) + cfg.eps_v_n * imu.v_v)]
@@ -234,13 +238,17 @@ def test_6_brute_force_equivalence(capsys):
                                 origin=PixelPoint(float(rng.uniform(0, 640)),
                                                   float(rng.uniform(0, 480))),
                                 trust=4) for e in edges[:50]]
-            rseed = rebels[int(rng.integers(0, len(rebels)))]
-            rgot = ce.group_rebel_circle(rseed, rebels, cfg, imu)
+            rsi = int(rng.integers(0, len(rebels)))
+            rseed = rebels[rsi]
+            rgot = np.flatnonzero(ce.circle_members(
+                wrap_deg(np.array([e.beta + e.mu for e in rebels])),
+                np.abs([e.vel for e in rebels]), rsi, cfg.eps_beta_r,
+                cfg.eps_v_r * imu.v_v)).tolist()
             sa = wrap_deg(rseed.beta + rseed.mu)
             rexpect = [i for i, e in enumerate(rebels) if e is rseed or (
                 abs(wrap_deg(wrap_deg(e.beta + e.mu) - sa)) < cfg.eps_beta_r
                 and abs(rseed.vel) <= abs(e.vel) + cfg.eps_v_r * imu.v_v)]
-            assert rgot.members == rexpect
+            assert rgot == rexpect
 
             # square couple / minor-circle conditions on all circle pairs
             circles = [Circle(kind="normal", loc=e.loc, radius=25.0, vel=e.vel,

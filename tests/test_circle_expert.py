@@ -221,11 +221,30 @@ def _brute_normal_members(seed, pool, config, imu):
     return out
 
 
+def _members(pool, seed, rebel=False):
+    """`ce.circle_members` for the seed pool[seed], on the columns
+    `step` builds; returns the member ids and the grouping angles."""
+    angle = np.array([e.beta for e in pool])
+    if rebel:
+        angle = wrap_deg(angle + [e.mu for e in pool])
+    eps_beta, eps_v = ((CFG.eps_beta_r, CFG.eps_v_r) if rebel
+                       else (CFG.eps_beta_n, CFG.eps_v_n))
+    mask = ce.circle_members(angle, np.abs([e.vel for e in pool]), seed,
+                             eps_beta, eps_v * IMU.v_v)
+    return np.flatnonzero(mask).tolist(), angle
+
+
+def _group(pool, rebel=False):
+    """The mean circle that the seed pool[0] groups."""
+    ids, angle = _members(pool, 0, rebel)
+    return ce.build_circle(pool, ids, angle[ids].tolist(), CFG)
+
+
 class TestGroupNormalCircle:
     def test_groups_aligned_edges(self):
         pool = [_edge(420.0, 240.0), _edge(440.0, 250.0),
                 _edge(320.0, 100.0)]  # last one is 90 deg off
-        circle = ce.group_normal_circle(pool[0], pool, CFG, IMU)
+        circle = _group(pool)
         assert circle.members == [0, 1]
         assert circle.kind == "normal"
         assert circle.origin == CFG.camera.principal
@@ -233,13 +252,13 @@ class TestGroupNormalCircle:
 
     def test_radius_floor(self):
         pool = [_edge(420.0, 240.0)]
-        circle = ce.group_normal_circle(pool[0], pool, CFG, IMU)
+        circle = _group(pool)
         assert circle.radius == CFG.mu_0
         assert circle.loc == pool[0].loc
 
     def test_geometry(self):
         pool = [_edge(400.0, 240.0), _edge(460.0, 240.0)]
-        circle = ce.group_normal_circle(pool[0], pool, CFG, IMU)
+        circle = _group(pool)
         assert circle.loc == PixelPoint(430.0, 240.0)
         assert circle.radius == 30.0
         assert circle.vel == pytest.approx(2.0)
@@ -251,10 +270,9 @@ class TestGroupNormalCircle:
     @settings(max_examples=60)
     def test_membership_matches_brute_force(self, raw):
         pool = [_edge(x, y, vel=v) for x, y, v in raw]
-        for seed in pool:
-            circle = ce.group_normal_circle(seed, pool, CFG, IMU)
-            assert circle.members == _brute_normal_members(seed, pool, CFG,
-                                                           IMU)
+        for i, seed in enumerate(pool):
+            assert _members(pool, i)[0] == _brute_normal_members(seed, pool,
+                                                                 CFG, IMU)
 
 
 class TestCircleOverlap:
@@ -316,7 +334,7 @@ class TestRebelCircle:
         pool = [self._rebel(100.0, 100.0, beta=0.0, mu=10.0),
                 self._rebel(120.0, 100.0, beta=5.0, mu=7.0),
                 self._rebel(140.0, 100.0, beta=120.0)]
-        circle = ce.group_rebel_circle(pool[0], pool, CFG, IMU)
+        circle = _group(pool, rebel=True)
         assert circle.members == [0, 1]
         assert circle.kind == "rebel"
         # mean of member origins (90,100) and (110,100)
@@ -327,7 +345,7 @@ class TestRebelCircle:
         pred = Circle(kind="rebel", loc=PixelPoint(100.0, 100.0), radius=25.0,
                       vel=2.0, beta=0.0, trust=4, members=[0],
                       origin=PixelPoint(90.0, 100.0))
-        mean = ce.group_rebel_circle(pool[0], pool, CFG, IMU)
+        mean = _group(pool, rebel=True)
         matched = ce.match_rebel_circle(pred, mean, [e.loc for e in pool],
                                         CFG, IMU)
         assert matched
@@ -337,7 +355,7 @@ class TestRebelCircle:
         pred = Circle(kind="rebel", loc=PixelPoint(100.0, 100.0), radius=25.0,
                       vel=2.0, beta=90.0, trust=4, members=[0],
                       origin=PixelPoint(90.0, 100.0))
-        mean = ce.group_rebel_circle(pool[0], pool, CFG, IMU)
+        mean = _group(pool, rebel=True)
         matched = ce.match_rebel_circle(pred, mean, [e.loc for e in pool],
                                         CFG, IMU)
         assert not matched
@@ -347,7 +365,7 @@ class TestRebelCircle:
         pred = Circle(kind="rebel", loc=PixelPoint(100.0, 100.0), radius=25.0,
                       vel=2.0, beta=0.0, trust=4, members=[0],
                       origin=PixelPoint(90.0, 100.0))
-        mean = ce.group_rebel_circle(pool[0], pool, CFG, IMU)
+        mean = _group(pool, rebel=True)
         fast = replace(mean, vel=pred.vel + CFG.eps_v_r * IMU.v_v + 1.0)
         assert not ce.match_rebel_circle(pred, fast, [mean.loc], CFG, IMU)
         assert not ce.match_rebel_circle(pred, mean, [PixelPoint(300.0, 100.0)],

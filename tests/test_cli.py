@@ -100,6 +100,22 @@ class TestSynth:
             f=250.0, principal=PixelPoint(160.0, 120.0), width=320.0,
             height=240.0))
 
+    @pytest.mark.parametrize("movers,bad", [
+        ("[[1,2]]", "mover 0"), ('{"a":1}', "not a JSON list"),
+        ("[1]", "mover 0"), ('[[320,240,-25,30,1],["a",320,-25,30,1]]',
+                             "mover 1"),
+        ("[[320,240,-25,30,1.5]]", "mover 0"),
+        ("[[320,240,-25,NaN,1]]", "mover 0"),
+    ])
+    def test_malformed_movers_exit_2_naming_the_mover(self, tmp_path, capsys,
+                                                      movers, bad):
+        out = tmp_path / "data"
+        assert cli.main(["synth", "--out", str(out), "--movers", movers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --movers: {bad}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestRun:
     def test_metrics_columns_sum_to_total(self, tmp_path):
@@ -177,6 +193,7 @@ class TestRun:
     @pytest.mark.parametrize("key,value,message", [
         ("rho_c", "0.0", "rho_c must be in (0, 100]"),
         ("mu_0", "1e200", "mu_0 must have a finite square"),
+        ("px_per_cm", "0.0", "px_per_cm must be positive"),
     ])
     def test_config_value_rejected_names_its_line(self, dataset, tmp_path,
                                                   capsys, key, value, message):

@@ -250,6 +250,7 @@ class TestConfig:
         ("mu_0=25\nrho_c=0.0", "line 2: rho_c must be in (0, 100]"),
         ("# c\n\nmu_0=1e200", "line 3: mu_0 must have a finite square"),
         ("psi_lifetime=0", "line 1: psi_lifetime must be >= 1"),
+        ("mu_0=25\npx_per_cm=0.0", "line 2: px_per_cm must be positive"),
         ("eps_v=0.5\ndelta_v=-1", "line 2: delta_v must be non-negative"),
         ("f=-5", "line 1: focal length must be positive"),
         ("width=100", "line 1: principal point outside the frame"),

@@ -92,17 +92,20 @@ def _square_stage_oracle(circles, prev_squares, imu, config):
 
 
 def _circle_stage_oracle(edges, prev_circles, imu, config, rebel):
-    """The circle stage as it grouped each normal seed: from the ungrouped
-    edges within eps_beta_n of it, the first test of the member test."""
+    """The circle stage as it grouped each seed with the per-element member
+    test of `oracles.py`: a normal seed from the ungrouped edges within
+    eps_beta_n of it, a rebel seed from every ungrouped edge."""
     means: List[Circle] = []
     member_locs: List[List[PixelPoint]] = []
     if rebel:
-        group = ce.group_rebel_circle
+        members = oracles.members_rebel
+        grouping_angle = lambda e: wrap_deg(e.beta + e.mu)  # noqa: E731
         order = range(len(edges))
         admits = lambda pred, k: ce.match_rebel_circle(  # noqa: E731
             pred, means[k], member_locs[k], config, imu)
     else:
-        group = ce.group_normal_circle
+        members = oracles.members_normal
+        grouping_angle = lambda e: e.beta  # noqa: E731
         order = sorted(range(len(edges)), key=lambda i: (edges[i].beta, i))
         admits = lambda pred, k: ce.match_normal_circle(  # noqa: E731
             pred, means[k], member_locs[k], config)
@@ -119,12 +122,13 @@ def _circle_stage_oracle(edges, prev_circles, imu, config, rebel):
         # the count's definition: every ungrouped edge is offered to the
         # seed's member test, whatever the window holds
         comparisons += assigned.count(False)
-        circle = group(seed, subpool, config, imu)
-        member_global = [window[m] for m in circle.members]
+        member_global = [window[m]
+                         for m in members(seed, subpool, config, imu)]
         for g in member_global:
             assigned[g] = True
-        circle.members = member_global
-        means.append(circle)
+        means.append(ce.build_circle(
+            edges, member_global,
+            [grouping_angle(edges[g]) for g in member_global], config))
         member_locs.append([edges[g].loc for g in member_global])
 
     predicted = [_predict_circle(c, imu, config) for c in prev_circles]
@@ -317,6 +321,13 @@ def normal_edges(draw):
                       trust=draw(st.integers(2, 5)))
 
 
+@st.composite
+def rebel_edges(draw):
+    return RebelEdge(loc=draw(LOCS), vel=draw(VELS), beta=draw(SEAM_BETAS),
+                     mu=draw(st.sampled_from([-30.0, 0.0, 10.0, 50.0])),
+                     origin=draw(LOCS), trust=draw(st.integers(2, 5)))
+
+
 # -- tests -----------------------------------------------------------------
 
 @given(st.lists(circles(), max_size=10), st.lists(squares(), max_size=3),
@@ -328,12 +339,15 @@ def test_square_stage_matches_oracle(circ, prev, imu, config):
 
 
 @given(st.lists(normal_edges(), max_size=25), st.lists(circles(), max_size=3),
-       IMUS, st.sampled_from([20.0, 1.0, 90.0, 180.0, 400.0]))
+       IMUS, st.sampled_from([20.0, 1.0, 90.0, 180.0, 400.0]),
+       st.sampled_from([0.25, 40.0]))
 @settings(max_examples=300, deadline=None)
-def test_circle_stage_windows_match_oracle(edges, prev, imu, eps_beta_n):
+def test_circle_stage_windows_match_oracle(edges, prev, imu, eps_beta_n,
+                                           eps_v_n):
     """Grouping from every ungrouped edge gives the circles the angle
-    windows give."""
-    config = replace(CFG, eps_beta_n=eps_beta_n)
+    windows give; eps_v_n = 0.25 at v_v = 2 puts speeds 0.5 apart on the
+    gate, which the default 40 never closes."""
+    config = replace(CFG, eps_beta_n=eps_beta_n, eps_v_n=eps_v_n)
     prev = [replace(c, kind="normal") for c in prev]
     assert repr(pipeline._circle_stage(edges, prev, imu, config, rebel=False)) \
         == repr(_circle_stage_oracle(edges, prev, imu, config, rebel=False))
@@ -348,6 +362,21 @@ def test_circle_stage_windows_match_oracle_off_range(edges, imu):
     circles are still those of the angle windows."""
     assert repr(pipeline._circle_stage(edges, [], imu, CFG, rebel=False)) \
         == repr(_circle_stage_oracle(edges, [], imu, CFG, rebel=False))
+
+
+@given(st.lists(rebel_edges(), max_size=25), st.lists(circles(), max_size=3),
+       IMUS, st.sampled_from([0.0, 1.0, 50.0, 180.0]),
+       st.sampled_from([0.25, 100.0]))
+@settings(max_examples=300, deadline=None)
+def test_circle_stage_rebel_matches_oracle(edges, prev, imu, eps_beta_r,
+                                           eps_v_r):
+    """Rebel circles group by beta + mu, across the seam, with the member
+    test of the per-element oracle; eps_v_r = 0.25 at v_v = 2 puts speeds
+    0.5 apart on the gate."""
+    config = replace(CFG, eps_beta_r=eps_beta_r, eps_v_r=eps_v_r)
+    prev = [replace(c, kind="rebel") for c in prev]
+    assert repr(pipeline._circle_stage(edges, prev, imu, config, rebel=True)) \
+        == repr(_circle_stage_oracle(edges, prev, imu, config, rebel=True))
 
 
 def _neighbors_by_observation(betas, obs_betas):
