@@ -1,18 +1,18 @@
 """Second stage: classify grouped edges against predictions, run the
 trust-weighted estimator, confirm rebels through the 3-frame alignment
-matrix, and group edges into normal/rebel circles."""
+matrix, chained one-to-one, and group edges into normal/rebel circles."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import replace
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .core import (AlignmentRow, Circle, FilterConfig, ImuSample, NormalEdge,
                    PixelPoint, RebelEdge, TrustLadder, trust_init, wrap_deg)
-from .kinematics import angle_of
+from .kinematics import angle_of, hypot_columns
 
 
 class XiClass(enum.Enum):
@@ -94,61 +94,116 @@ def estimate_normal_edge(pred: NormalEdge, matched_obs: PixelPoint,
     return NormalEdge(loc=loc, vel=vel, beta=beta, mu=mu, trust=pred.trust)
 
 
-def _chain_admissible(last: PixelPoint, candidate: PixelPoint,
-                      config: FilterConfig, imu: ImuSample) -> bool:
-    """Frame-to-frame chaining rule for rebel candidates: bounded displacement
-    that deviates from the outward field direction at the previous point."""
-    step = last.dist(candidate)
-    if step > config.eps_v_r * imu.v_v * config.px_per_cm * imu.t_f:
-        return False
-    if step == 0.0:
-        return False
-    field_dir = angle_of(last, config.camera.principal)
-    move_dir = angle_of(candidate, last)
-    return abs(wrap_deg(move_dir - field_dir)) > config.delta_v
+# a row's third point must lie within this many pixels of its second point
+# advanced by the row's first step, p2 + (p2 - p1)
+COHERENCE_PX = 3.0
+
+
+def _chain_links(rows: Sequence[AlignmentRow],
+                 candidates: Sequence[Tuple[PixelPoint, bool]],
+                 config: FilterConfig, imu: ImuSample) -> Dict[int, int]:
+    """One-to-one links of rows to candidates, as {row: candidate} indices.
+
+    A pair is admissible when the step from the row's last point to the
+    candidate is non-zero and at most eps_v_r * v_v * px_per_cm * t_f; when,
+    for a row of two points, the candidate lies within COHERENCE_PX of
+    p2 + (p2 - p1); and when the step's direction deviates from the outward
+    field at the row's last point by more than delta_v. The admissible pairs
+    are taken nearest first, ties by row then candidate, each while its row
+    and its candidate are both free.
+
+    The step bounds and the coherence test are masks over the pairs. The
+    pairs left are walked in distance order, and the direction test runs
+    only on a pair whose row and candidate are both still free; the walk
+    stops once every row or every candidate is taken. Skipping the test of
+    a pair that is not free leaves the picks unchanged, since its outcome
+    does not depend on the picks.
+    """
+    n = len(candidates)
+    ends = np.array([row[-1][1] for row in rows], dtype=float)
+    cand = np.array([p for p, _born in candidates], dtype=float)
+    row_of, cand_of = np.divmod(np.arange(len(rows) * n), n)
+    two = np.array([len(row) == 2 for row in rows])
+    if two.any():
+        firsts = np.array([row[0][1] for row in rows], dtype=float)
+        ahead = ends + (ends - firsts)  # p2 + (p2 - p1) of each row
+        k = np.flatnonzero(two[row_of])
+        off = hypot_columns(cand[cand_of[k], 0] - ahead[row_of[k], 0],
+                            cand[cand_of[k], 1] - ahead[row_of[k], 1])
+        keep = np.ones(len(row_of), dtype=bool)
+        keep[k[~(off <= COHERENCE_PX)]] = False
+        row_of, cand_of = row_of[keep], cand_of[keep]
+    step = hypot_columns(cand[cand_of, 0] - ends[row_of, 0],
+                         cand[cand_of, 1] - ends[row_of, 1])
+    gate = config.eps_v_r * imu.v_v * config.px_per_cm * imu.t_f
+    # the gate rejects step > gate, so a NaN step passes it
+    ok = np.flatnonzero(~(step > gate) & (step != 0.0))
+    # the pairs are in (row, candidate) order, so a stable sort by distance
+    # breaks ties by row, then candidate
+    ok = ok[np.argsort(step[ok], kind="stable")]
+    origin = config.camera.principal
+    links: Dict[int, int] = {}
+    taken = set()
+    for r, c in zip(row_of[ok].tolist(), cand_of[ok].tolist()):
+        if r in links or c in taken:
+            continue
+        last = rows[r][-1][1]
+        move = angle_of(candidates[c][0], last) - angle_of(last, origin)
+        if not abs(wrap_deg(move)) > config.delta_v:
+            continue
+        links[r] = c
+        taken.add(c)
+        if len(links) == len(rows) or len(taken) == n:
+            break
+    return links
 
 
 def update_rebel_alignment(alpha: Sequence[AlignmentRow],
-                           candidates: Sequence[PixelPoint], frame_index: int,
-                           config: FilterConfig, imu: ImuSample,
+                           candidates: Sequence[Tuple[PixelPoint, bool]],
+                           frame_index: int, config: FilterConfig,
+                           imu: ImuSample,
                            ) -> Tuple[List[AlignmentRow], List[RebelEdge],
                                       List[PixelPoint]]:
     """Advance the alignment matrix by one frame.
 
-    Every candidate extends each admissible row ending at the previous frame
-    (rows branch) and also seeds a fresh row.  Rows reaching length 3 become
-    rebel edges; stale rows are dropped and their last position is reported as
-    a failed candidate so the caller can recycle it as a fresh landmark.
+    `candidates` are (point, born) pairs, `born` telling that the point was
+    also born as a normal edge on this frame. Each row ending at the
+    previous frame is extended by at most one candidate and each candidate
+    extends at most one row (`_chain_links`); every candidate also seeds a
+    fresh row. Rows reaching length 3 become rebel edges. A row not
+    extended is dropped, and its last point is reported as failed, so the
+    caller can recycle it as a fresh landmark, unless it was born already.
     """
     scale = config.px_per_cm * imu.t_f
+    live = [i for i, row in enumerate(alpha)
+            if row[-1][0] == frame_index - 1 and len(row) < 3]
+    links: Dict[int, int] = {}
+    if live and candidates:
+        links = {live[r]: c for r, c in _chain_links(
+            [alpha[i] for i in live], candidates, config, imu).items()}
     new_alpha: List[AlignmentRow] = []
     rebels: List[RebelEdge] = []
     failed: List[PixelPoint] = []
-    for row in alpha:
-        extended = False
-        last_frame, last = row[-1]
-        if last_frame == frame_index - 1 and len(row) < 3:
-            for cand in candidates:
-                if not _chain_admissible(last, cand, config, imu):
-                    continue
-                extended = True
-                chain = row + [(frame_index, cand)]
-                if len(chain) == 3:
-                    p1, p2, p3 = (c[1] for c in chain)
-                    rebels.append(RebelEdge(
-                        loc=p3,
-                        vel=p3.dist(p2) / scale,
-                        beta=angle_of(p3, p1),
-                        mu=wrap_deg(angle_of(p3, p1) - angle_of(p2, p1)),
-                        origin=p1,
-                        trust=trust_init("rebel", config.circle_trust),
-                    ))
-                else:
-                    new_alpha.append(chain)
-        if not extended:
-            failed.append(last)
-    for cand in candidates:
-        new_alpha.append([(frame_index, cand)])
+    for i, row in enumerate(alpha):
+        if i not in links:
+            _frame, last, born = row[-1]
+            if not born:
+                failed.append(last)
+            continue
+        p3, born = candidates[links[i]]
+        if len(row) == 1:
+            new_alpha.append(row + [(frame_index, p3, born)])
+            continue
+        p1, p2 = row[0][1], row[1][1]
+        rebels.append(RebelEdge(
+            loc=p3,
+            vel=p3.dist(p2) / scale,
+            beta=angle_of(p3, p1),
+            mu=wrap_deg(angle_of(p3, p1) - angle_of(p2, p1)),
+            origin=p1,
+            trust=trust_init("rebel", config.circle_trust),
+        ))
+    new_alpha += [[(frame_index, p, born)] for p, born in candidates]
     return new_alpha, rebels, failed
 
 

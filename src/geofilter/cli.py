@@ -91,7 +91,10 @@ def _cmd_run(args) -> int:
 def _movers(text: str) -> Tuple[MoverSpec, ...]:
     """The movers of `--movers`, a JSON list of [x, y, vx, vy, start_frame]
     of finite numbers and a whole start frame; ValueError names any other."""
-    movers = json.loads(text)
+    try:
+        movers = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--movers: not JSON: {exc}") from None
     if not isinstance(movers, list):
         raise ValueError(f"--movers: not a JSON list: {text}")
     for k, m in enumerate(movers):

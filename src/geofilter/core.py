@@ -189,9 +189,10 @@ class IgnoranceRegion:
             raise ValueError("ignorance region type must be 1 or 2")
 
 
-# a rebel alignment row: the chain of (frame, point) of one rebel candidate
-# over at most 3 consecutive frames
-AlignmentRow = List[Tuple[int, PixelPoint]]
+# a rebel alignment row: the chain of (frame, point, born) of one rebel
+# candidate over at most 3 consecutive frames; `born` tells that the point was
+# also born as a normal edge on its frame
+AlignmentRow = List[Tuple[int, PixelPoint, bool]]
 
 
 @dataclass

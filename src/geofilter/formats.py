@@ -202,7 +202,8 @@ def state_from_dict(rec: dict) -> FilterState:
         psi=[_entity(IgnoranceRegion,
                      {**r, "remaining_frames": r["remaining"]})
              for r in rec["psi"]],
-        alpha=[[(f, _point(p)) for f, p in row] for row in rec["alpha"]],
+        alpha=[[(f, _point(p), born) for f, p, born in row]
+               for row in rec["alpha"]],
         **{name: [_entity(kind, e) for e in rec[name]]
            for name, kind in _ENTITIES.items()})
 

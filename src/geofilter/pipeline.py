@@ -149,12 +149,16 @@ def _first_by(rows: np.ndarray, *keys: np.ndarray) -> np.ndarray:
 def _normal_edge_stage(old: List[NormalEdge], chi: List[Tuple[PixelPoint, int]],
                        imu: ImuSample, config: FilterConfig
                        ) -> Tuple[List[NormalEdge], List[PixelPoint],
-                                  List[PixelPoint], int]:
+                                  List[Tuple[PixelPoint, bool]], int]:
     """Predict the normal edges, classify each observation against its angle
     neighbours among the predictions, and commit the edges. Returns the
-    committed edges, the observations to be born as normal edges (XI1, or
-    all of chi with no prediction), the rebel candidates (XI4, XI5) and the
-    comparison count."""
+    committed edges, the observations to be born as normal edges, the rebel
+    candidates as (observation, born) pairs and the comparison count.
+
+    With no prediction, all of chi is born. Otherwise an XI1 observation is
+    born, and an XI4 or XI5 one is born when its collector merged several
+    edges; each of these that is a collector of one edge is also a rebel
+    candidate."""
     if not old:
         return [], [obs for obs, _count in chi], [], 0
     origin = config.camera.principal
@@ -167,7 +171,7 @@ def _normal_edge_stage(old: List[NormalEdge], chi: List[Tuple[PixelPoint, int]],
     # as (obs, count, dist) in observation order
     matches: Dict[int, Tuple[list, list]] = {}
     born: List[PixelPoint] = []
-    rebel_candidates: List[PixelPoint] = []
+    rebel_candidates: List[Tuple[PixelPoint, bool]] = []
     comparisons = 0
     if chi:
         obs_xy = np.array([obs for obs, _count in chi], dtype=float)
@@ -189,10 +193,12 @@ def _normal_edge_stage(old: List[NormalEdge], chi: List[Tuple[PixelPoint, int]],
             if cls is ce.XiClass.XI2 or cls is ce.XiClass.XI3:
                 hits = matches.setdefault(i, ([], []))
                 hits[0 if cls is ce.XiClass.XI2 else 1].append((obs, count, d))
-            elif cls is ce.XiClass.XI1:
+                continue
+            is_born = cls is ce.XiClass.XI1 or count > 1
+            if is_born:
                 born.append(obs)
-            else:
-                rebel_candidates.append(obs)
+            if count == 1:
+                rebel_candidates.append((obs, is_born))
 
     edges: List[NormalEdge] = []
     for i, (e, px, py, v) in enumerate(zip(old, loc.x.tolist(),
@@ -209,13 +215,16 @@ def _normal_edge_stage(old: List[NormalEdge], chi: List[Tuple[PixelPoint, int]],
     return edges, born, rebel_candidates, comparisons
 
 
-def _rebel_edge_stage(old: List[RebelEdge], candidates: List[PixelPoint],
+def _rebel_edge_stage(old: List[RebelEdge],
+                      candidates: List[Tuple[PixelPoint, bool]],
                       imu: ImuSample, config: FilterConfig
-                      ) -> Tuple[List[RebelEdge], List[PixelPoint], int]:
-    """Predict the rebel edges, let each candidate take the nearest
-    predicted edge (the first on ties) within the gate whose own angle span
-    holds it, and commit the edges. Returns the committed edges, the
-    candidates left for the alignment matrix and the comparison count."""
+                      ) -> Tuple[List[RebelEdge],
+                                 List[Tuple[PixelPoint, bool]], int]:
+    """Predict the rebel edges, let each candidate, an (observation, born)
+    pair, take the nearest predicted edge (the first on ties) within mu_0
+    whose own angle span holds it, and commit the edges. Returns the
+    committed edges, the candidates left for the alignment matrix and the
+    comparison count."""
     if not old:
         return [], list(candidates), 0
     x, y, vel, beta, mu = np.array(
@@ -225,18 +234,17 @@ def _rebel_edge_stage(old: List[RebelEdge], candidates: List[PixelPoint],
 
     # edge index -> its candidates, as (obs, dist) in candidate order
     hits: Dict[int, List[Tuple[PixelPoint, float]]] = {}
-    left: List[PixelPoint] = []
-    gate = config.eps_v_r * imu.v_v * config.px_per_cm * imu.t_f
+    left: List[Tuple[PixelPoint, bool]] = []
     block = max(1, _PAIR_BLOCK // len(old))
     for start in range(0, len(candidates), block):
         cands = candidates[start:start + block]
-        xy = np.array(cands, dtype=float)
+        xy = np.array([obs for obs, _born in cands], dtype=float)
         d = hypot_columns((xy[:, :1] - loc.x).ravel(),
                           (xy[:, 1:] - loc.y).ravel())
-        # the gate rejects d > gate, so a NaN distance passes it
-        near = np.flatnonzero(~(d > gate))
+        # the gate rejects d > mu_0, so a NaN distance passes it
+        near = np.flatnonzero(~(d > config.mu_0))
         rows, cols = np.divmod(near, len(old))
-        ang = np.fromiter((angle_of(cands[r], old[c].origin)
+        ang = np.fromiter((angle_of(cands[r][0], old[c].origin)
                            for r, c in zip(rows.tolist(), cols.tolist())),
                           float, len(rows))
         ok = np.abs(wrap_deg(ang - beta[cols])) <= config.delta_v + mu[cols]
@@ -244,12 +252,12 @@ def _rebel_edge_stage(old: List[RebelEdge], candidates: List[PixelPoint],
         best = _first_by(rows, d)
         taken = dict(zip(rows[best].tolist(),
                          zip(cols[best].tolist(), d[best].tolist())))
-        for i, obs in enumerate(cands):
+        for i, cand in enumerate(cands):
             if i in taken:
                 j, dist = taken[i]
-                hits.setdefault(j, []).append((obs, dist))
+                hits.setdefault(j, []).append((cand[0], dist))
             else:
-                left.append(obs)
+                left.append(cand)
 
     edges: List[RebelEdge] = []
     for j, (e, px, py) in enumerate(zip(old, loc.x.tolist(), loc.y.tolist())):
@@ -386,22 +394,37 @@ def _circle_stage(edges: list, prev_circles: List[Circle], imu: ImuSample,
     are seeded in list order, normal edges in angle order (ties by index).
     Each seed is the first ungrouped edge, and its member test runs over
     every ungrouped edge. Returns the circles and the comparison count."""
+    means, member_locs, comparisons = (
+        _mean_circles(edges, imu, config, rebel) if edges else ([], [], 0))
+    if rebel:
+        admits = lambda pred, k: ce.match_rebel_circle(  # noqa: E731
+            pred, means[k], member_locs[k], config, imu)
+    else:
+        admits = lambda pred, k: ce.match_normal_circle(  # noqa: E731
+            pred, means[k], member_locs[k], config)
+    predicted = [_predict_circle(c, imu, config) for c in prev_circles]
+    out, n_comp = _associate(means, predicted, admits, ce.estimate_circle,
+                             config.circle_trust, config)
+    return out, comparisons + n_comp
+
+
+def _mean_circles(edges: list, imu: ImuSample, config: FilterConfig,
+                  rebel: bool
+                  ) -> Tuple[List[Circle], List[List[PixelPoint]], int]:
+    """The mean circles of `_circle_stage`, their members' locations and the
+    count of member tests, on columns of the edges."""
     angle = np.array([e.beta for e in edges], dtype=float)
     speed = np.abs([e.vel for e in edges], dtype=float)
-    means: List[Circle] = []
-    member_locs: List[List[PixelPoint]] = []
     if rebel:
         angle = wrap_deg(angle + [e.mu for e in edges])
         eps_beta, tol = config.eps_beta_r, config.eps_v_r * imu.v_v
         pool = np.arange(len(edges))
-        admits = lambda pred, k: ce.match_rebel_circle(  # noqa: E731
-            pred, means[k], member_locs[k], config, imu)
     else:
         eps_beta, tol = config.eps_beta_n, config.eps_v_n * imu.v_v
         pool = np.argsort(angle, kind="stable")
-        admits = lambda pred, k: ce.match_normal_circle(  # noqa: E731
-            pred, means[k], member_locs[k], config)
     angle, speed = angle[pool], speed[pool]  # in seed order
+    means: List[Circle] = []
+    member_locs: List[List[PixelPoint]] = []
     comparisons = 0
     while len(pool):
         comparisons += len(pool)
@@ -411,11 +434,7 @@ def _circle_stage(edges: list, prev_circles: List[Circle], imu: ImuSample,
         member_locs.append([edges[i].loc for i in ids])
         keep = ~mask
         pool, angle, speed = pool[keep], angle[keep], speed[keep]
-
-    predicted = [_predict_circle(c, imu, config) for c in prev_circles]
-    out, n_comp = _associate(means, predicted, admits, ce.estimate_circle,
-                             config.circle_trust, config)
-    return out, comparisons + n_comp
+    return means, member_locs, comparisons
 
 
 def _square_stage(circles: List[Circle], prev_squares: List[Square],

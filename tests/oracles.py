@@ -1,15 +1,17 @@
 """Plain-Python forms of computations that `src/` runs in other forms, kept
-as oracles for them: two geometric tests that `src/` computes inline, and
-the per-element forms of the edge stage and of the circle member test of
-`step`, which `src/` runs on numpy columns."""
+as oracles for them: two geometric tests that `src/` computes inline, the
+per-element forms of the edge stage and of the circle member test of
+`step`, which `src/` runs on numpy columns, and the eager form of the
+alignment matrix's one-to-one chaining, which `src/` runs as a lazy walk."""
 
 import bisect
 from dataclasses import replace
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from geofilter import circle_expert as ce
 from geofilter.core import (FilterConfig, IgnoranceRegion, ImuSample,
-                            NormalEdge, PixelPoint, RebelEdge, wrap_deg)
+                            NormalEdge, PixelPoint, RebelEdge, trust_init,
+                            wrap_deg)
 from geofilter.kinematics import advance, angle_of, heading, outward
 
 
@@ -137,3 +139,63 @@ def members_rebel(seed: RebelEdge, pool: Sequence[RebelEdge],
                 and abs(seed.vel) <= abs(e.vel) + config.eps_v_r * imu.v_v):
             member_ids.append(i)
     return member_ids
+
+
+# -- the alignment matrix, every pair tested ----------------------------------
+
+def chain_admissible(row, candidate: PixelPoint, config: FilterConfig,
+                     imu: ImuSample) -> bool:
+    """The chaining rules for one row and one candidate: a non-zero step of
+    at most eps_v_r * v_v * px_per_cm * t_f, deviating from the outward
+    field at the row's last point by more than delta_v, and for a row of two
+    points a candidate within COHERENCE_PX of p2 + (p2 - p1)."""
+    last = row[-1][1]
+    step = last.dist(candidate)
+    if step > config.eps_v_r * imu.v_v * config.px_per_cm * imu.t_f:
+        return False
+    if step == 0.0:
+        return False
+    field_dir = angle_of(last, config.camera.principal)
+    move_dir = angle_of(candidate, last)
+    if not abs(wrap_deg(move_dir - field_dir)) > config.delta_v:
+        return False
+    if len(row) == 2:
+        first = row[0][1]
+        ahead = PixelPoint(last.x + (last.x - first.x),
+                           last.y + (last.y - first.y))
+        return candidate.dist(ahead) <= ce.COHERENCE_PX
+    return True
+
+
+def update_rebel_alignment(alpha, candidates, frame_index: int,
+                           config: FilterConfig, imu: ImuSample):
+    """Test every pair of a row ending at the previous frame and a
+    candidate, then link them greedily, nearest first (ties by row, then
+    candidate), each row and each candidate at most once."""
+    live = [i for i, row in enumerate(alpha)
+            if row[-1][0] == frame_index - 1 and len(row) < 3]
+    pairs = sorted((alpha[i][-1][1].dist(p), i, c) for i in live
+                   for c, (p, _born) in enumerate(candidates)
+                   if chain_admissible(alpha[i], p, config, imu))
+    links: Dict[int, int] = {}
+    for _step, i, c in pairs:
+        if i not in links and c not in links.values():
+            links[i] = c
+    scale = config.px_per_cm * imu.t_f
+    new_alpha, rebels, failed = [], [], []
+    for i, row in enumerate(alpha):
+        if i not in links:
+            if not row[-1][2]:
+                failed.append(row[-1][1])
+            continue
+        p3, born = candidates[links[i]]
+        if len(row) == 1:
+            new_alpha.append(row + [(frame_index, p3, born)])
+        else:
+            p1, p2 = row[0][1], row[1][1]
+            rebels.append(RebelEdge(
+                loc=p3, vel=p3.dist(p2) / scale, beta=angle_of(p3, p1),
+                mu=wrap_deg(angle_of(p3, p1) - angle_of(p2, p1)), origin=p1,
+                trust=trust_init("rebel", config.circle_trust)))
+    new_alpha += [[(frame_index, p, born)] for p, born in candidates]
+    return new_alpha, rebels, failed

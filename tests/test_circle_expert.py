@@ -145,12 +145,12 @@ class TestRebelAlignment:
     CHAIN = [PixelPoint(100.0, 100.0), PixelPoint(104.0, 97.0),
              PixelPoint(109.0, 93.0)]
 
-    def _run_chain(self):
+    def _run_chain(self, chain=None):
         alpha = []
         rebels = []
-        for k, p in enumerate(self.CHAIN):
+        for k, p in enumerate(chain or self.CHAIN):
             alpha, new_rebels, _failed = ce.update_rebel_alignment(
-                alpha, [p], k, CFG, IMU)
+                alpha, [(p, False)], k, CFG, IMU)
             rebels.extend(new_rebels)
         return rebels
 
@@ -170,34 +170,75 @@ class TestRebelAlignment:
         # a step aligned with the outward field must not extend a chain
         p1 = PixelPoint(420.0, 240.0)
         p2 = PixelPoint(430.0, 240.0)  # exactly along the field direction
-        alpha, _, _ = ce.update_rebel_alignment([], [p1], 0, CFG, IMU)
-        alpha, rebels, failed = ce.update_rebel_alignment(alpha, [p2], 1,
-                                                          CFG, IMU)
+        alpha, _, _ = ce.update_rebel_alignment([], [(p1, False)], 0, CFG,
+                                                IMU)
+        alpha, rebels, failed = ce.update_rebel_alignment(
+            alpha, [(p2, False)], 1, CFG, IMU)
         assert rebels == []
         assert failed == [p1]
         assert [row[-1][1] for row in alpha] == [p2]
 
     def test_overlong_step_not_chained(self):
         far = PixelPoint(100.0 + 2000.0, 100.0)
-        alpha, _, _ = ce.update_rebel_alignment([], [self.CHAIN[0]], 0, CFG,
-                                                IMU)
-        _, rebels, failed = ce.update_rebel_alignment(alpha, [far], 1, CFG,
-                                                      IMU)
+        alpha, _, _ = ce.update_rebel_alignment(
+            [], [(self.CHAIN[0], False)], 0, CFG, IMU)
+        _, rebels, failed = ce.update_rebel_alignment(
+            alpha, [(far, False)], 1, CFG, IMU)
         assert rebels == [] and failed == [self.CHAIN[0]]
 
     def test_stale_rows_fail(self):
-        alpha, _, _ = ce.update_rebel_alignment([], [self.CHAIN[0]], 0, CFG,
-                                                IMU)
+        alpha, _, _ = ce.update_rebel_alignment(
+            [], [(self.CHAIN[0], False)], 0, CFG, IMU)
         # skip a frame: the row can no longer be extended
-        _, rebels, failed = ce.update_rebel_alignment(alpha, [self.CHAIN[1]],
-                                                      2, CFG, IMU)
+        _, rebels, failed = ce.update_rebel_alignment(
+            alpha, [(self.CHAIN[1], False)], 2, CFG, IMU)
         assert rebels == [] and failed == [self.CHAIN[0]]
 
     def test_every_candidate_seeds_a_row(self):
-        cands = [PixelPoint(10.0, 10.0), PixelPoint(600.0, 400.0)]
+        cands = [(PixelPoint(10.0, 10.0), False),
+                 (PixelPoint(600.0, 400.0), True)]
         alpha, _, _ = ce.update_rebel_alignment([], cands, 0, CFG, IMU)
-        assert len(alpha) == 2
-        assert all(len(row) == 1 for row in alpha)
+        assert alpha == [[(0, p, born)] for p, born in cands]
+
+    def test_rows_extend_one_to_one(self):
+        # both rows could take the one candidate: the nearer row takes it,
+        # the other fails, and the candidate also seeds a row of its own
+        near, far = PixelPoint(100.0, 100.0), PixelPoint(90.0, 90.0)
+        cand = PixelPoint(104.0, 97.0)
+        alpha = [[(0, far, False)], [(0, near, False)]]
+        alpha, rebels, failed = ce.update_rebel_alignment(
+            alpha, [(cand, False)], 1, CFG, IMU)
+        assert rebels == [] and failed == [far]
+        assert alpha == [[(0, near, False), (1, cand, False)],
+                         [(1, cand, False)]]
+
+    def test_each_row_takes_its_nearest_candidate(self):
+        row = [(0, PixelPoint(100.0, 100.0), False)]
+        cands = [(PixelPoint(110.0, 92.0), False),
+                 (PixelPoint(104.0, 97.0), True)]
+        alpha, _, failed = ce.update_rebel_alignment([row], cands, 1, CFG,
+                                                     IMU)
+        assert failed == [] and alpha[0] == row + [(1,) + cands[1]]
+
+    @pytest.mark.parametrize("dx,dy,confirmed", [
+        (1.0, -1.0, True), (3.0, 0.0, True), (0.0, -3.0, True),
+        (3.0, 1.0, False), (-4.0, 0.0, False)])
+    def test_third_point_continues_the_step(self, dx, dy, confirmed):
+        # p2 + (p2 - p1) is (108, 94); the third point may lie up to
+        # COHERENCE_PX from it, boundary included
+        p1, p2 = self.CHAIN[:2]
+        p3 = PixelPoint(108.0 + dx, 94.0 + dy)
+        assert (p3.dist(PixelPoint(108.0, 94.0)) <= ce.COHERENCE_PX) \
+            == confirmed
+        assert len(self._run_chain([p1, p2, p3])) == int(confirmed)
+
+    def test_born_point_not_recycled(self):
+        # a point already born as a normal edge is not reported as failed
+        cands = [(PixelPoint(10.0, 10.0), True),
+                 (PixelPoint(600.0, 400.0), False)]
+        alpha, _, _ = ce.update_rebel_alignment([], cands, 0, CFG, IMU)
+        _, _, failed = ce.update_rebel_alignment(alpha, [], 1, CFG, IMU)
+        assert failed == [PixelPoint(600.0, 400.0)]
 
 
 class TestEstimateRebelEdge:

@@ -105,7 +105,7 @@ class TestSynth:
         ("[1]", "mover 0"), ('[[320,240,-25,30,1],["a",320,-25,30,1]]',
                              "mover 1"),
         ("[[320,240,-25,30,1.5]]", "mover 0"),
-        ("[[320,240,-25,NaN,1]]", "mover 0"),
+        ("[[320,240,-25,NaN,1]]", "mover 0"), ("xx", "not JSON"),
     ])
     def test_malformed_movers_exit_2_naming_the_mover(self, tmp_path, capsys,
                                                       movers, bad):

@@ -142,7 +142,8 @@ def _full_state():
                              remaining_frames=1),
              IgnoranceRegion(loc=PixelPoint(8.0, 8.0), extent=(4.0, 2.0),
                              ty=2, remaining_frames=0)],
-        alpha=[[(6, PixelPoint(3.0, 4.0)), (7, PixelPoint(5.0, 6.0))]],
+        alpha=[[(6, PixelPoint(3.0, 4.0), False),
+                (7, PixelPoint(5.0, 6.0), True)]],
         normal_edges=[NormalEdge(loc=PixelPoint(10.0, 20.0), vel=2.0,
                                  beta=30.0, mu=25.0, trust=3)],
         rebel_edges=[RebelEdge(loc=PixelPoint(11.0, 21.0), vel=1.5, beta=-40.0,
@@ -176,7 +177,8 @@ _states = st.builds(
         st.builds(IgnoranceRegion, loc=_pts, extent=st.tuples(_num, _num),
                   ty=st.just(2), remaining_frames=st.integers(0, 5))),
         max_size=3),
-    alpha=st.lists(st.lists(st.tuples(st.integers(0, 99), _pts),
+    alpha=st.lists(st.lists(st.tuples(st.integers(0, 99), _pts,
+                                      st.booleans()),
                             min_size=1, max_size=3), max_size=2),
     normal_edges=st.lists(st.builds(NormalEdge, loc=_pts, vel=_num, beta=_num,
                                     mu=_num, trust=_trust), max_size=3),

@@ -2,9 +2,11 @@
 
 Each oracle is an earlier form of one stage: the square stage's
 furthest-couple search, the circle stage's angle windows, the per-pair edge
-classification, and the per-edge and per-pair loops of the normal-edge and
+classification, the per-edge and per-pair loops of the normal-edge and
 rebel-edge stages, which `step` now runs on numpy columns (their
-per-element parts are in `oracles.py`). The stages must return what their
+per-element parts are in `oracles.py`), and the alignment matrix's chaining
+with every pair tested (`oracles.update_rebel_alignment`), which `step`
+runs as a lazy walk. The stages must return what their
 oracle returns, compared by `repr` (which tells -0.0 from 0.0 and lets NaN
 equal NaN), on generated inputs that sit on the boundary of every gate they
 prune or branch by. The oracles count comparisons by the definition on
@@ -153,7 +155,7 @@ def _normal_edge_stage_oracle(old, chi, imu, config):
     predicted_n = [oracles.predict_normal_edge(e, imu, config) for e in old]
     matches: Dict[int, Tuple[list, list]] = {}
     born: List[PixelPoint] = []
-    rebel_candidates: List[PixelPoint] = []
+    rebel_candidates: List[Tuple[PixelPoint, bool]] = []
     if predicted_n:
         order = sorted(range(len(predicted_n)),
                        key=lambda i: (predicted_n[i].beta, i))
@@ -178,9 +180,15 @@ def _normal_edge_stage_oracle(old, chi, imu, config):
                 hits = matches.setdefault(idx, ([], []))
                 hits[0 if cls is ce.XiClass.XI2 else 1].append((obs, count, dist))
             elif cls is ce.XiClass.XI1:
+                # born, and a rebel candidate too when a collector of one
                 born.append(obs)
+                if count == 1:
+                    rebel_candidates.append((obs, True))
+            elif count == 1:
+                rebel_candidates.append((obs, False))
             else:
-                rebel_candidates.append(obs)
+                # an XI4 or XI5 collector of several edges is born
+                born.append(obs)
     else:
         born = [obs for obs, _count in chi]
     normal_edges: List[NormalEdge] = []
@@ -203,20 +211,19 @@ def _rebel_edge_stage_oracle(old, rebel_candidates, imu, config):
     comparisons = 0
     predicted_r = [oracles.predict_rebel_edge(e, imu, config) for e in old]
     rebel_obs: Dict[int, List[Tuple[PixelPoint, float]]] = {}
-    alpha_candidates: List[PixelPoint] = []
-    gate = config.eps_v_r * imu.v_v * config.px_per_cm * imu.t_f
-    for obs in rebel_candidates:
+    alpha_candidates: List[Tuple[PixelPoint, bool]] = []
+    for obs, born in rebel_candidates:
         best = None
         for j, pr in enumerate(predicted_r):
             comparisons += 1
             d = obs.dist(pr.loc)
-            if d > gate:
+            if d > config.mu_0:
                 continue
             ang_err = abs(wrap_deg(angle_of(obs, pr.origin) - pr.beta))
             if ang_err <= config.delta_v + pr.mu and (best is None or d < best[0]):
                 best = (d, j)
         if best is None:
-            alpha_candidates.append(obs)
+            alpha_candidates.append((obs, born))
         else:
             rebel_obs.setdefault(best[1], []).append((obs, best[0]))
     rebel_edges: List[RebelEdge] = []
@@ -569,12 +576,13 @@ def test_normal_edge_stage_matches_oracle_at_crowd_size(seed, imu):
 
 @st.composite
 def rebel_stage_inputs(draw):
-    """Rebel edges and candidates: tied distances (coincident edges),
-    candidates exactly at the gate and at the edge of an edge's span."""
+    """Rebel edges and candidates, born or not: tied distances (coincident
+    edges), candidates exactly at the gate and at the edge of an edge's
+    span."""
     imu = draw(ZERO_IMUS)
-    # gates of 1,000 px, 50 px and 0 px at v_v = 2
-    config = replace(CFG, eps_v_r=draw(st.sampled_from([100.0, 5.0, 0.0])))
-    gate = config.eps_v_r * imu.v_v * config.px_per_cm * imu.t_f
+    # the gate is mu_0
+    config = replace(CFG, mu_0=draw(st.sampled_from([25.0, 50.0, 0.0])))
+    gate = config.mu_0
     edges = []
     for _ in range(draw(st.integers(0, 8))):
         edges.append(RebelEdge(
@@ -591,9 +599,10 @@ def rebel_stage_inputs(draw):
             ux, uy = draw(st.sampled_from([(0.6, 0.8), (-1.0, 0.0),
                                            (0.0, 0.0)]))
             r = draw(st.sampled_from([gate, 10.0, 2 * gate + 1.0]))
-            cands.append(PixelPoint(p.loc.x + ux * r, p.loc.y + uy * r))
+            obs = PixelPoint(p.loc.x + ux * r, p.loc.y + uy * r)
         else:
-            cands.append(draw(OBS_LOCS))
+            obs = draw(OBS_LOCS)
+        cands.append((obs, draw(st.booleans())))
     return edges, cands, imu, config
 
 
@@ -610,15 +619,94 @@ def test_rebel_edge_stage_matches_oracle_across_blocks():
     as one pair array does."""
     rng = np.random.default_rng(7)
     imu = ImuSample(v_v=2.0, a_v=0.0, omega=(0.001, -0.002, 0.0005))
-    config = replace(CFG, eps_v_r=3.0)
+    config = replace(CFG, mu_0=30.0)
     edges = [RebelEdge(loc=PixelPoint(x, y), vel=2.0, beta=b, mu=10.0,
                        origin=PixelPoint(x - 20.0, y + 5.0), trust=4)
              for (x, y), b in zip(rng.uniform(0.0, 480.0, (3000, 2)).tolist(),
                                   rng.uniform(-180.0, 180.0, 3000).tolist())]
-    cands = [PixelPoint(x, y)
+    cands = [(PixelPoint(x, y), False)
              for x, y in rng.uniform(0.0, 480.0, (60, 2)).tolist()]
     assert len(edges) * len(cands) > 2 * pipeline._PAIR_BLOCK
     got = pipeline._rebel_edge_stage(edges, cands, imu, config)
     assert repr(got) == repr(_rebel_edge_stage_oracle(edges, cands, imu,
                                                       config))
     assert len(got[1]) < len(cands)  # some candidates were taken
+
+
+# -- the alignment matrix ---------------------------------------------------
+
+# the frame the alignment inputs are stepped to
+FRAME = 5
+
+
+@st.composite
+def alignment_inputs(draw):
+    """Rows of one and two points, some of them stale, and candidates, born
+    or not: tied distances (grid points, a repeated candidate), zero steps,
+    steps exactly at the gate, radial steps that leave a row with no
+    admissible candidate, and third points exactly COHERENCE_PX from
+    p2 + (p2 - p1)."""
+    imu = draw(ZERO_IMUS)
+    # gates of 20 px and 1,000 px at v_v = 2, 30 px and 1,500 px at v_v = 3
+    config = replace(CFG, eps_v_r=draw(st.sampled_from([2.0, 100.0])))
+    gate = config.eps_v_r * imu.v_v * config.px_per_cm * imu.t_f
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        end = draw(st.sampled_from([FRAME - 1, FRAME - 1, FRAME - 2]))
+        points = draw(st.lists(LOCS, min_size=1, max_size=2))
+        rows.append([(end - len(points) + 1 + k, p, draw(st.booleans()))
+                     for k, p in enumerate(points)])
+    cands = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            row = draw(st.sampled_from(rows))
+            last = row[-1][1]
+            ahead = last + (last - row[0][1])
+            base, (dx, dy) = draw(st.sampled_from([
+                (last, (0.0, 0.0)), (last, (gate, 0.0)),
+                (last, (0.0, -gate)), (last, (0.6 * gate, 0.8 * gate)),
+                (last, (0.1 * (last.x - ORIGIN.x), 0.1 * (last.y - ORIGIN.y))),
+                (ahead, (0.0, 0.0)), (ahead, (ce.COHERENCE_PX, 0.0)),
+                (ahead, (0.0, -ce.COHERENCE_PX)), (ahead, (3.0, 1.0))]))
+            obs = PixelPoint(base.x + dx, base.y + dy)
+        else:
+            obs = draw(LOCS)
+        cands.append((obs, draw(st.booleans())))
+    if cands and draw(st.booleans()):
+        cands.append(cands[0])
+    return rows, cands, config, imu
+
+
+@given(alignment_inputs())
+@settings(max_examples=500, deadline=None)
+def test_alignment_walk_matches_oracle(inputs):
+    """The lazy walk links the rows and candidates that testing every pair
+    and then picking greedily links."""
+    rows, cands, config, imu = inputs
+    assert repr(ce.update_rebel_alignment(rows, cands, FRAME, config, imu)) \
+        == repr(oracles.update_rebel_alignment(rows, cands, FRAME, config,
+                                               imu))
+
+
+def test_alignment_oracle_boundaries():
+    """The cases the generated inputs aim at, on the oracle's own rules: a
+    step exactly at the gate chains, a third point exactly COHERENCE_PX
+    off p2 + (p2 - p1) confirms, and a row whose only candidates step
+    radially or not at all fails."""
+    imu = ImuSample(v_v=2.0, a_v=0.0, omega=(0.0, 0.0, 0.0))
+    config = replace(CFG, eps_v_r=2.0)  # a 20 px gate
+    p1, p2 = PixelPoint(100.0, 90.0), PixelPoint(100.0, 80.0)
+    one, two = [(4, p2, False)], [(3, p1, False), (4, p2, False)]
+    ahead = PixelPoint(100.0, 70.0)
+    cases = [
+        (one, PixelPoint(100.0, 60.0), 1), (one, PixelPoint(100.0, 59.0), 0),
+        (two, PixelPoint(103.0, 70.0), 1), (two, PixelPoint(103.0, 71.0), 0),
+        (one, p2, 0), (one, p2 + (p2 - ORIGIN).scaled(0.1), 0)]
+    for row, cand, linked in cases:
+        got = ce.update_rebel_alignment([row], [(cand, False)], FRAME,
+                                        config, imu)
+        assert repr(got) == repr(oracles.update_rebel_alignment(
+            [row], [(cand, False)], FRAME, config, imu))
+        assert (got[2] == []) == bool(linked), (row, cand)
+    assert p2.dist(PixelPoint(100.0, 60.0)) == 20.0
+    assert PixelPoint(103.0, 70.0).dist(ahead) == ce.COHERENCE_PX
