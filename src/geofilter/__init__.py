@@ -6,16 +6,16 @@ bounded memory and deterministic behavior.
 """
 
 from .core import (CameraModel, Circle, FilterConfig, FilterState,
-                   IgnoranceRegion, ImuSample, NormalEdge, PixelPoint,
-                   RebelEdge, Square, TrustLadder, config_from_text,
-                   config_to_text, default_config, trust_commit, trust_init,
-                   wrap_deg)
+                   IgnoranceRegion, ImuSample, NormalEdge, NormalEdges,
+                   PixelPoint, RebelEdge, Square, TrustLadder,
+                   config_from_text, config_to_text, default_config,
+                   trust_commit, trust_init, wrap_deg)
 from .pipeline import DimensionalityReport, baseline_store, dimensionality, step
 
 __all__ = [
     "CameraModel", "Circle", "FilterConfig", "FilterState",
-    "IgnoranceRegion", "ImuSample", "NormalEdge", "PixelPoint", "RebelEdge",
-    "Square", "TrustLadder", "config_from_text", "config_to_text",
+    "IgnoranceRegion", "ImuSample", "NormalEdge", "NormalEdges", "PixelPoint",
+    "RebelEdge", "Square", "TrustLadder", "config_from_text", "config_to_text",
     "default_config", "trust_commit", "trust_init", "wrap_deg",
     "DimensionalityReport", "baseline_store", "dimensionality", "step",
 ]

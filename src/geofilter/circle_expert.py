@@ -5,14 +5,15 @@ matrix, chained one-to-one, and group edges into normal/rebel circles."""
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (AlignmentRow, Circle, FilterConfig, ImuSample, NormalEdge,
+from .core import (AlignmentRow, Circle, FilterConfig, ImuSample, NormalEdges,
                    PixelPoint, RebelEdge, TrustLadder, trust_init, wrap_deg)
-from .kinematics import angle_of, hypot_columns
+from .kinematics import angle_columns, angle_of, hypot_columns
 
 
 class XiClass(enum.Enum):
@@ -77,21 +78,34 @@ def estimate_trusted_angle(prior_deg: float, measured_deg: float, trust: int,
     return wrap_deg(prior_deg + diff / (w + 1))
 
 
-def estimate_normal_edge(pred: NormalEdge, matched_obs: PixelPoint,
-                         match_count: int, imu: ImuSample,
-                         config: FilterConfig) -> NormalEdge:
-    """Commit one matched observation into a normal edge estimate."""
-    if match_count < 1:
-        raise ValueError("match_count must be >= 1")
+def estimate_normal_edges(pred: NormalEdges, obs_x: np.ndarray,
+                          obs_y: np.ndarray, dist: np.ndarray,
+                          match_count: np.ndarray, imu: ImuSample,
+                          config: FilterConfig) -> NormalEdges:
+    """Commit one matched observation into each predicted normal edge, as
+    columns: the observation (obs_x, obs_y), its distance to the prediction
+    and the count of detections matched to the edge, at least 1.
+
+    The location is the trust-weighted mean of prediction and observation.
+    The velocity is the vehicle speed plus the residual as a velocity,
+    signed outward when the observation lies farther from the principal
+    point than the prediction. The radius is the mean of the prior and the
+    velocity residual shared among the matches, and beta is the new
+    location's angle. Trust is returned as it was, for the caller to step.
+    """
     origin = config.camera.principal
-    tr_c = config.circle_trust.tr_c
-    loc = estimate_trusted(pred.loc, matched_obs, pred.trust, tr_c)
+    w = pred.trust - config.circle_trust.tr_c
+    if (w < 0).any():
+        raise ValueError("trust below critical")
+    x = (w * pred.x + obs_x) / (w + 1)
+    y = (w * pred.y + obs_y) / (w + 1)
     scale = config.px_per_cm * imu.t_f
-    sign = 1.0 if matched_obs.dist(origin) > pred.loc.dist(origin) else -1.0
-    vel = abs(imu.v_v + sign * pred.loc.dist(matched_obs) / scale)
-    mu = 0.5 * (abs(imu.v_v - pred.vel) * scale / match_count + pred.mu)
-    beta = angle_of(loc, origin)
-    return NormalEdge(loc=loc, vel=vel, beta=beta, mu=mu, trust=pred.trust)
+    outward = (hypot_columns(obs_x - origin.x, obs_y - origin.y)
+               > hypot_columns(pred.x - origin.x, pred.y - origin.y))
+    vel = np.abs(imu.v_v + np.where(outward, 1.0, -1.0) * dist / scale)
+    mu = 0.5 * (np.abs(imu.v_v - pred.vel) * scale / match_count + pred.mu)
+    return NormalEdges(x, y, vel, angle_columns(x, y, origin), mu,
+                       pred.trust)
 
 
 # a row's third point must lie within this many pixels of its second point
@@ -234,43 +248,51 @@ def circle_members(angle: np.ndarray, speed: np.ndarray, seed: int,
     return mask
 
 
-def build_circle(edges: Sequence, ids: List[int], angles: Sequence[float],
-                 config: FilterConfig) -> Circle:
-    """The mean circle of the edges `ids`, seed first, and their grouping
-    angles, averaged about the seed's. A rebel circle's origin is the mean of
-    its members' origins, a normal circle's the principal point."""
-    members = [edges[i] for i in ids]
-    n = len(members)
-    center = PixelPoint(sum(e.loc.x for e in members) / n,
-                        sum(e.loc.y for e in members) / n)
-    radius = max(max(e.loc.dist(center) for e in members), config.mu_0)
-    vel = sum(abs(e.vel) for e in members) / n
-    ref = angles[0]
-    beta = wrap_deg(ref + sum(wrap_deg(a - ref) for a in angles) / n)
-    if isinstance(members[0], RebelEdge):
-        kind, trust_class = "rebel", "rebel"
-        origin = PixelPoint(sum(e.origin.x for e in members) / n,
-                            sum(e.origin.y for e in members) / n)
-    else:
+def build_circle(ids: List[int], x: List[float], y: List[float],
+                 speed: List[float], angle: List[float], config: FilterConfig,
+                 origin: Optional[Tuple[List[float], List[float]]] = None
+                 ) -> Circle:
+    """The mean circle of the edges `ids`, seed first, read from columns of
+    the edges as lists: location, speed |vel| and grouping angle, and for a
+    rebel circle the (x, y) columns of the edges' origins. Each mean is a
+    sum in member order; the angle is averaged about the seed's. A rebel
+    circle's origin is the mean of its members' origins, a normal circle's
+    the principal point."""
+    n = len(ids)
+    mx, my = [x[i] for i in ids], [y[i] for i in ids]
+    cx, cy = sum(mx) / n, sum(my) / n
+    radius = max(max(map(math.hypot, [v - cx for v in mx],
+                         [v - cy for v in my])), config.mu_0)
+    vel = sum([speed[i] for i in ids]) / n
+    ref = angle[ids[0]]
+    beta = wrap_deg(ref + sum([wrap_deg(angle[i] - ref) for i in ids]) / n)
+    if origin is None:
         kind, trust_class = "normal", "normal_circle"
-        origin = config.camera.principal
-    return Circle(kind=kind, loc=center, radius=radius, vel=vel, beta=beta,
+        mean_origin = config.camera.principal
+    else:
+        kind, trust_class = "rebel", "rebel"
+        ox, oy = origin
+        mean_origin = PixelPoint(sum([ox[i] for i in ids]) / n,
+                                 sum([oy[i] for i in ids]) / n)
+    return Circle(kind=kind, loc=PixelPoint(cx, cy), radius=radius, vel=vel,
+                  beta=beta,
                   trust=trust_init(trust_class, config.circle_trust),
-                  members=ids, origin=origin)
+                  members=ids, origin=mean_origin)
 
 
-def circle_overlap_percentage(member_locs: Sequence[PixelPoint],
+def circle_overlap_percentage(member_locs: Sequence[Tuple[float, float]],
                               predicted_circle: Circle) -> float:
-    """Percentage of member locations strictly inside the predicted circle."""
+    """Percentage of member locations, (x, y) points, strictly inside the
+    predicted circle."""
     if not member_locs:
         raise ValueError("member_locs must be non-empty")
-    inside = sum(1 for p in member_locs
-                 if p.dist(predicted_circle.loc) < predicted_circle.radius)
+    loc, radius = predicted_circle.loc, predicted_circle.radius
+    inside = sum(1 for p in member_locs if math.dist(p, loc) < radius)
     return 100.0 * inside / len(member_locs)
 
 
 def match_normal_circle(predicted: Circle, mean_circle: Circle,
-                        member_locs: Sequence[PixelPoint],
+                        member_locs: Sequence[Tuple[float, float]],
                         config: FilterConfig) -> bool:
     """Gate a constructed mean circle against a predicted normal circle."""
     if abs(wrap_deg(mean_circle.beta - predicted.beta)) >= config.eps_beta_n:
@@ -281,8 +303,8 @@ def match_normal_circle(predicted: Circle, mean_circle: Circle,
 
 
 def match_rebel_circle(predicted: Circle, mean_circle: Circle,
-                       member_locs: Sequence[PixelPoint], config: FilterConfig,
-                       imu: ImuSample) -> bool:
+                       member_locs: Sequence[Tuple[float, float]],
+                       config: FilterConfig, imu: ImuSample) -> bool:
     """Gate a constructed mean circle against a predicted rebel circle."""
     if abs(wrap_deg(mean_circle.beta - predicted.beta)) >= config.eps_beta_r:
         return False

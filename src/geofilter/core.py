@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 PRUNED = None  # sentinel returned by trust_commit when an entity falls below Tr_c
 
@@ -141,6 +143,84 @@ class NormalEdge:
     trust: int
 
 
+class NormalEdges:
+    """The normal edges of a state, held as columns from frame to frame: x,
+    y, vel, beta and mu as float64 and trust as int64, one row per edge.
+    Iterating yields each edge as a NormalEdge. Two stores are equal when
+    every column is, NaN equal to NaN. The stages build new columns and
+    leave a store's own unchanged."""
+
+    __slots__ = ("x", "y", "vel", "beta", "mu", "trust")
+
+    def __init__(self, x=(), y=(), vel=(), beta=(), mu=(), trust=()):
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        self.vel = np.asarray(vel, dtype=float)
+        self.beta = np.asarray(beta, dtype=float)
+        self.mu = np.asarray(mu, dtype=float)
+        self.trust = np.asarray(trust, dtype=np.int64)
+        if not (len(self.x) == len(self.y) == len(self.vel) == len(self.beta)
+                == len(self.mu) == len(self.trust)):
+            raise ValueError("normal edge columns differ in length")
+
+    @classmethod
+    def of(cls, edges: Iterable[NormalEdge]) -> NormalEdges:
+        edges = list(edges)
+        x, y, vel, beta, mu = np.array(
+            [(e.loc.x, e.loc.y, e.vel, e.beta, e.mu) for e in edges],
+            dtype=float).reshape(-1, 5).T
+        return cls(x, y, vel, beta, mu, [e.trust for e in edges])
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        return self.x, self.y, self.vel, self.beta, self.mu, self.trust
+
+    def rows(self) -> Iterator[tuple]:
+        """Each edge as a plain (x, y, vel, beta, mu, trust) tuple."""
+        return zip(*(c.tolist() for c in self.columns()))
+
+    def __iter__(self) -> Iterator[NormalEdge]:
+        for x, y, vel, beta, mu, trust in self.rows():
+            yield NormalEdge(PixelPoint(x, y), vel, beta, mu, trust)
+
+    def __len__(self) -> int:
+        return len(self.trust)
+
+    def __eq__(self, other):
+        if not isinstance(other, NormalEdges):
+            return NotImplemented
+        return (all(np.array_equal(a, b, equal_nan=True) for a, b in
+                    zip(self.columns()[:5], other.columns()[:5]))
+                and np.array_equal(self.trust, other.trust))
+
+    def __repr__(self) -> str:
+        return f"NormalEdges({list(self)!r})"
+
+    def take(self, index) -> NormalEdges:
+        """The edges at `index`, a mask or an index column."""
+        return NormalEdges(*(c[index] for c in self.columns()))
+
+    def concat(self, other: NormalEdges) -> NormalEdges:
+        """These edges, then `other`'s."""
+        return NormalEdges(*map(np.concatenate,
+                                zip(self.columns(), other.columns())))
+
+    def updated(self, index, rows: NormalEdges) -> NormalEdges:
+        """A copy with the edges at `index` replaced by `rows`."""
+        out = NormalEdges(*(c.copy() for c in self.columns()))
+        for c, new in zip(out.columns(), rows.columns()):
+            c[index] = new
+        return out
+
+    def committed(self, delta, ladder: TrustLadder) -> NormalEdges:
+        """Step each edge's trust by delta (+1 or -1, one value or a column)
+        as `trust_commit` does: an edge that falls below tr_c is dropped,
+        the others are clamped at tr_m."""
+        trust = self.trust + delta
+        keep = trust >= ladder.tr_c
+        return NormalEdges(*(c[keep] for c in self.columns()[:5]),
+                           np.minimum(trust[keep], ladder.tr_m))
+
+
 @dataclass
 class RebelEdge:
     loc: PixelPoint
@@ -201,11 +281,16 @@ class FilterState:
     chi: List[Tuple[PixelPoint, int]] = field(default_factory=list)
     psi: List[IgnoranceRegion] = field(default_factory=list)
     alpha: List[AlignmentRow] = field(default_factory=list)
-    normal_edges: List[NormalEdge] = field(default_factory=list)
+    normal_edges: NormalEdges = field(default_factory=NormalEdges)
     rebel_edges: List[RebelEdge] = field(default_factory=list)
     normal_circles: List[Circle] = field(default_factory=list)
     rebel_circles: List[Circle] = field(default_factory=list)
     squares: List[Square] = field(default_factory=list)
+
+    def __post_init__(self):
+        # normal edges given as NormalEdge records are stored as columns
+        if not isinstance(self.normal_edges, NormalEdges):
+            self.normal_edges = NormalEdges.of(self.normal_edges)
 
 
 def trust_init(entity_class: str, ladder: TrustLadder) -> int:

@@ -143,7 +143,8 @@ def write_scene(truth: SceneTruth, frames_path: Union[str, Path],
 
 # -- state snapshots ---------------------------------------------------------
 
-# FilterState lists written as lists of records of their entities' own fields
+# FilterState fields written as lists of records of their entities' own
+# fields, and read back as these entities
 _ENTITIES = {"normal_edges": NormalEdge, "rebel_edges": RebelEdge,
              "normal_circles": Circle, "rebel_circles": Circle,
              "squares": Square}
@@ -152,12 +153,18 @@ _ENTITIES = {"normal_edges": NormalEdge, "rebel_edges": RebelEdge,
 def state_to_dict(state: FilterState) -> dict:
     """One JSON-ready record of the state: each entity is a dict of its own
     fields, points are (x, y) pairs and an ignorance region's
-    `remaining_frames` is written as `remaining`."""
+    `remaining_frames` is written as `remaining`. Normal edges are written
+    straight from their columns."""
     rec = {"frame": state.frame_index, "chi": state.chi, "alpha": state.alpha,
            "psi": [{"loc": r.loc, "extent": r.extent, "ty": r.ty,
-                    "remaining": r.remaining_frames} for r in state.psi]}
+                    "remaining": r.remaining_frames} for r in state.psi],
+           "normal_edges": [
+               {"loc": (x, y), "vel": vel, "beta": beta, "mu": mu,
+                "trust": trust}
+               for x, y, vel, beta, mu, trust in state.normal_edges.rows()]}
     for name in _ENTITIES:
-        rec[name] = [dict(vars(e)) for e in getattr(state, name)]
+        if name not in rec:
+            rec[name] = [dict(vars(e)) for e in getattr(state, name)]
     return rec
 
 

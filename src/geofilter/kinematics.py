@@ -5,8 +5,9 @@ point; rotation is decoupled and applied first as a small-angle flow update.
 
 `rotate_motion_field` and `advance` are plain arithmetic, so they take a
 point of two numpy columns as well as a point of two floats and return the
-same bits for each element. The edge predictions run on columns; every
-`hypot`, `cos` and `sin` among them is Python's own, taken per element.
+same bits for each element. The edge predictions and angles run on columns;
+every `hypot`, `atan2`, `degrees`, `cos` and `sin` among them is Python's
+own, taken per element.
 """
 
 from __future__ import annotations
@@ -76,6 +77,26 @@ def hypot_columns(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     last bit on some inputs."""
     return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float,
                        len(dx))
+
+
+def point_columns(points) -> Tuple[np.ndarray, np.ndarray]:
+    """The x and y columns of a sequence of points. Unzipped first: numpy
+    reads a list of NamedTuples several times slower than a list of
+    floats."""
+    xs, ys = zip(*points) if len(points) else ((), ())
+    return np.array(xs, dtype=float), np.array(ys, dtype=float)
+
+
+def angle_columns(x: np.ndarray, y: np.ndarray,
+                  origin: PixelPoint) -> np.ndarray:
+    """`angle_of` of each point of the columns x and y about `origin`, with
+    Python's own `atan2` and `degrees` per element."""
+    dx, dy = x - origin.x, y - origin.y
+    deg = wrap_deg(np.fromiter(
+        map(math.degrees, map(math.atan2, dy.tolist(), dx.tolist())), float,
+        len(dx)))
+    deg[(dx == 0.0) & (dy == 0.0)] = 0.0
+    return deg
 
 
 def predict_normal_edges(x: np.ndarray, y: np.ndarray, vel: np.ndarray,

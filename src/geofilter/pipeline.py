@@ -15,9 +15,10 @@ from . import circle_expert as ce
 from . import line_expert as le
 from . import square_expert as se
 from .core import (Circle, FilterConfig, FilterState, IgnoranceRegion,
-                   ImuSample, NormalEdge, PixelPoint, RebelEdge, Square,
+                   ImuSample, NormalEdges, PixelPoint, RebelEdge, Square,
                    TrustLadder, trust_commit, trust_init, wrap_deg)
-from .kinematics import (advance, angle_of, heading, hypot_columns, outward,
+from .kinematics import (advance, angle_columns, angle_of, heading,
+                         hypot_columns, outward, point_columns,
                          predict_normal_edges, predict_rebel_edges)
 
 # how many angle-neighbors each observation is checked against
@@ -48,6 +49,8 @@ class DimensionalityReport:
     # test, and the circle association's gate tests
     comparisons: int = 0
     edges: int = 0  # raw detections `step` received; not part of `total`
+    # detections dropped by the ignorance regions; not part of `total`
+    suppressed: int = 0
 
     @property
     def total(self) -> int:
@@ -146,73 +149,82 @@ def _first_by(rows: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-def _normal_edge_stage(old: List[NormalEdge], chi: List[Tuple[PixelPoint, int]],
+def _normal_edge_stage(old: NormalEdges, chi: List[Tuple[PixelPoint, int]],
                        imu: ImuSample, config: FilterConfig
-                       ) -> Tuple[List[NormalEdge], List[PixelPoint],
+                       ) -> Tuple[NormalEdges, List[PixelPoint],
                                   List[Tuple[PixelPoint, bool]], int]:
     """Predict the normal edges, classify each observation against its angle
     neighbours among the predictions, and commit the edges. Returns the
     committed edges, the observations to be born as normal edges, the rebel
     candidates as (observation, born) pairs and the comparison count.
 
-    With no prediction, all of chi is born. Otherwise an XI1 observation is
-    born, and an XI4 or XI5 one is born when its collector merged several
-    edges; each of these that is a collector of one edge is also a rebel
-    candidate."""
-    if not old:
-        return [], [obs for obs, _count in chi], [], 0
+    With no prediction, all of chi is born. Otherwise an XI2 or XI3
+    observation matches the prediction it classed so against, an XI1
+    observation is born, and an XI4 or XI5 one is born when its collector
+    merged several edges; each of these that is a collector of one edge is
+    also a rebel candidate."""
+    if not len(old):
+        return old, [obs for obs, _count in chi], [], 0
     origin = config.camera.principal
-    x, y, vel, beta, mu = np.array(
-        [(e.loc.x, e.loc.y, e.vel, e.beta, e.mu) for e in old],
-        dtype=float).T
-    loc, v_pred = predict_normal_edges(x, y, vel, imu, config)
+    loc, v_pred = predict_normal_edges(old.x, old.y, old.vel, imu, config)
+    pred = NormalEdges(loc.x, loc.y, v_pred, old.beta, old.mu, old.trust)
+    if not chi:
+        return pred.committed(-1, config.circle_trust), [], [], 0
 
-    # predicted edge -> the observations it matched as XI2 and as XI3, each
-    # as (obs, count, dist) in observation order
-    matches: Dict[int, Tuple[list, list]] = {}
-    born: List[PixelPoint] = []
-    rebel_candidates: List[Tuple[PixelPoint, bool]] = []
-    comparisons = 0
-    if chi:
-        obs_xy = np.array([obs for obs, _count in chi], dtype=float)
-        obs_beta = np.array([angle_of(obs, origin) for obs, _count in chi])
-        at_origin = (obs_xy[:, 0] == origin.x) & (obs_xy[:, 1] == origin.y)
-        order = np.argsort(beta, kind="stable")
-        rows, slots = _angle_neighbors(beta[order], obs_beta)
-        idx = order[slots]
-        dist = hypot_columns(obs_xy[rows, 0] - loc.x[idx],
-                             obs_xy[rows, 1] - loc.y[idx])
-        prio = ce.classify_edges(obs_beta[rows], at_origin[rows], dist,
-                                 beta[idx], mu[idx], config, imu)
-        comparisons = len(rows)
-        best = _first_by(rows, prio, dist, idx)
-        for (obs, count), p, i, d in zip(chi, prio[best].tolist(),
-                                         idx[best].tolist(),
-                                         dist[best].tolist()):
-            cls = ce.XI_BY_PRIORITY[p]
-            if cls is ce.XiClass.XI2 or cls is ce.XiClass.XI3:
-                hits = matches.setdefault(i, ([], []))
-                hits[0 if cls is ce.XiClass.XI2 else 1].append((obs, count, d))
-                continue
-            is_born = cls is ce.XiClass.XI1 or count > 1
-            if is_born:
-                born.append(obs)
-            if count == 1:
-                rebel_candidates.append((obs, is_born))
+    obs, count = zip(*chi)
+    obs_x, obs_y = point_columns(obs)
+    count = np.array(count)
+    obs_beta = angle_columns(obs_x, obs_y, origin)
+    at_origin = (obs_x == origin.x) & (obs_y == origin.y)
+    order = np.argsort(old.beta, kind="stable")
+    rows, slots = _angle_neighbors(old.beta[order], obs_beta)
+    idx = order[slots]
+    dist = hypot_columns(obs_x[rows] - loc.x[idx], obs_y[rows] - loc.y[idx])
+    prio = ce.classify_edges(obs_beta[rows], at_origin[rows], dist,
+                             old.beta[idx], old.mu[idx], config, imu)
+    # each observation's best pair; the indices of XI_BY_PRIORITY are XI2,
+    # XI3, XI1, XI4, XI5
+    best = _first_by(rows, prio, dist, idx)
+    cls = prio[best]
+    hit = np.flatnonzero(cls <= 1)
+    born_mask = (cls == 2) | ((cls > 2) & (count > 1))
+    cand = np.flatnonzero((cls > 1) & (count == 1))
+    edges = _commit_normal_edges(
+        pred, idx[best[hit]], obs_x[hit], obs_y[hit], dist[best[hit]],
+        cls[hit] == 0, count[hit], imu, config)
+    born = [obs[i] for i in np.flatnonzero(born_mask).tolist()]
+    rebel_candidates = list(zip([obs[i] for i in cand.tolist()],
+                                born_mask[cand].tolist()))
+    return edges, born, rebel_candidates, len(rows)
 
-    edges: List[NormalEdge] = []
-    for i, (e, px, py, v) in enumerate(zip(old, loc.x.tolist(),
-                                           loc.y.tolist(), v_pred.tolist())):
-        est = NormalEdge(loc=PixelPoint(px, py), vel=v, beta=e.beta, mu=e.mu,
-                         trust=e.trust)
-        xi2, xi3 = matches.get(i, ((), ()))
-        if xi2 or xi3:
-            chosen = min(xi2 or xi3, key=lambda a: a[2])
-            match_count = max(1, sum(a[1] for a in xi2 + xi3))
-            est = ce.estimate_normal_edge(est, chosen[0], match_count, imu,
-                                          config)
-        _commit(edges, est, 1 if xi2 else -1, config.circle_trust)
-    return edges, born, rebel_candidates, comparisons
+
+def _commit_normal_edges(pred: NormalEdges, edge: np.ndarray,
+                         obs_x: np.ndarray, obs_y: np.ndarray,
+                         dist: np.ndarray, xi2: np.ndarray, count: np.ndarray,
+                         imu: ImuSample, config: FilterConfig) -> NormalEdges:
+    """Estimate and commit the predicted normal edges, given the XI2 and XI3
+    matches as columns in observation order: the edge matched, the
+    observation, its distance to the edge, whether it is XI2, and the
+    detections its collector holds.
+
+    An edge with an XI2 match takes its nearest XI2 observation, else its
+    nearest XI3 one, the first on ties, with the detections of all its
+    matches as the match count, and its trust steps up for XI2 and down for
+    XI3. An edge without a match keeps its prediction and steps down."""
+    delta = np.full(len(pred), -1)
+    if len(edge):
+        order = np.lexsort((dist, ~xi2, edge))
+        by_edge = edge[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = by_edge[1:] != by_edge[:-1]
+        pick = order[first]
+        matched = edge[pick]
+        match_count = np.maximum(1, np.bincount(edge, weights=count))[matched]
+        pred = pred.updated(matched, ce.estimate_normal_edges(
+            pred.take(matched), obs_x[pick], obs_y[pick], dist[pick],
+            match_count, imu, config))
+        delta[matched[xi2[pick]]] = 1
+    return pred.committed(delta, config.circle_trust)
 
 
 def _rebel_edge_stage(old: List[RebelEdge],
@@ -299,7 +311,7 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
             psi.append(aged)
 
     # (b) line expert
-    kept, _dropped = le.apply_ignorance(frame, psi)
+    kept, suppressed = le.apply_ignorance(frame, psi)
     chi = list(zip(*le.group_edges(kept, config.mu_0)))
 
     # (c) circle expert: edge stage -------------------------------------
@@ -314,10 +326,13 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
     alpha, new_rebels, recycled = ce.update_rebel_alignment(
         state.alpha, alpha_candidates, frame_index, config, imu)
     rebel_edges.extend(new_rebels)
-    for p in born + recycled:
-        normal_edges.append(NormalEdge(
-            loc=p, vel=imu.v_v, beta=angle_of(p, origin), mu=config.mu_0,
-            trust=trust_init("normal_edge", ladder)))
+    if born or recycled:
+        x, y = point_columns(born + recycled)
+        n = len(x)
+        normal_edges = normal_edges.concat(NormalEdges(
+            x, y, np.full(n, imu.v_v), angle_columns(x, y, origin),
+            np.full(n, config.mu_0),
+            np.full(n, trust_init("normal_edge", ladder))))
 
     # (d) circle expert: circling stage ---------------------------------
     normal_circles, n_comp = _circle_stage(
@@ -347,6 +362,7 @@ def step(state: FilterState, frame: Sequence[PixelPoint], imu: ImuSample,
     report = dimensionality(new_state)
     report.comparisons = comparisons
     report.edges = len(frame)
+    report.suppressed = suppressed
     return new_state, report
 
 
@@ -387,15 +403,16 @@ def _associate(means: list, predicted: list, admits: Callable[[object, int], boo
     return out, comparisons
 
 
-def _circle_stage(edges: list, prev_circles: List[Circle], imu: ImuSample,
+def _circle_stage(edges, prev_circles: List[Circle], imu: ImuSample,
                   config: FilterConfig, rebel: bool) -> Tuple[List[Circle], int]:
-    """Group edges into mean circles, a normal edge by its beta and a rebel
-    by beta + mu, and associate them with the predicted circles. Rebel edges
-    are seeded in list order, normal edges in angle order (ties by index).
-    Each seed is the first ungrouped edge, and its member test runs over
-    every ungrouped edge. Returns the circles and the comparison count."""
+    """Group edges, NormalEdges or a list of RebelEdge, into mean circles, a
+    normal edge by its beta and a rebel by beta + mu, and associate them
+    with the predicted circles. Rebel edges are seeded in list order, normal
+    edges in angle order (ties by index). Each seed is the first ungrouped
+    edge, and its member test runs over every ungrouped edge. Returns the
+    circles and the comparison count."""
     means, member_locs, comparisons = (
-        _mean_circles(edges, imu, config, rebel) if edges else ([], [], 0))
+        _mean_circles(edges, imu, config, rebel) if len(edges) else ([], [], 0))
     if rebel:
         admits = lambda pred, k: ce.match_rebel_circle(  # noqa: E731
             pred, means[k], member_locs[k], config, imu)
@@ -408,30 +425,37 @@ def _circle_stage(edges: list, prev_circles: List[Circle], imu: ImuSample,
     return out, comparisons + n_comp
 
 
-def _mean_circles(edges: list, imu: ImuSample, config: FilterConfig,
-                  rebel: bool
-                  ) -> Tuple[List[Circle], List[List[PixelPoint]], int]:
+def _mean_circles(edges, imu: ImuSample, config: FilterConfig, rebel: bool
+                  ) -> Tuple[List[Circle], List[List[Tuple[float, float]]],
+                             int]:
     """The mean circles of `_circle_stage`, their members' locations and the
     count of member tests, on columns of the edges."""
-    angle = np.array([e.beta for e in edges], dtype=float)
-    speed = np.abs([e.vel for e in edges], dtype=float)
+    origin = None
     if rebel:
-        angle = wrap_deg(angle + [e.mu for e in edges])
+        x, y, vel, beta, mu, ox, oy = np.array(
+            [(*e.loc, e.vel, e.beta, e.mu, *e.origin) for e in edges],
+            dtype=float).T
+        angle = wrap_deg(beta + mu)
         eps_beta, tol = config.eps_beta_r, config.eps_v_r * imu.v_v
         pool = np.arange(len(edges))
+        origin = ox.tolist(), oy.tolist()
     else:
+        x, y, vel, angle = edges.x, edges.y, edges.vel, edges.beta
         eps_beta, tol = config.eps_beta_n, config.eps_v_n * imu.v_v
         pool = np.argsort(angle, kind="stable")
+    speed = np.abs(vel)
+    xs, ys, speeds, angles = (c.tolist() for c in (x, y, speed, angle))
     angle, speed = angle[pool], speed[pool]  # in seed order
     means: List[Circle] = []
-    member_locs: List[List[PixelPoint]] = []
+    member_locs: List[List[Tuple[float, float]]] = []
     comparisons = 0
     while len(pool):
         comparisons += len(pool)
         mask = ce.circle_members(angle, speed, 0, eps_beta, tol)
         ids = pool[mask].tolist()
-        means.append(ce.build_circle(edges, ids, angle[mask].tolist(), config))
-        member_locs.append([edges[i].loc for i in ids])
+        means.append(ce.build_circle(ids, xs, ys, speeds, angles, config,
+                                     origin))
+        member_locs.append([(xs[i], ys[i]) for i in ids])
         keep = ~mask
         pool, angle, speed = pool[keep], angle[keep], speed[keep]
     return means, member_locs, comparisons

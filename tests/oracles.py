@@ -1,17 +1,18 @@
 """Plain-Python forms of computations that `src/` runs in other forms, kept
 as oracles for them: two geometric tests that `src/` computes inline, the
-per-element forms of the edge stage and of the circle member test of
-`step`, which `src/` runs on numpy columns, and the eager form of the
-alignment matrix's one-to-one chaining, which `src/` runs as a lazy walk."""
+per-element forms of the edge stage, of the normal-edge estimate and trust
+commit and of the circle member test of `step`, which `src/` runs on numpy
+columns, and the eager form of the alignment matrix's one-to-one chaining,
+which `src/` runs as a lazy walk."""
 
 import bisect
 from dataclasses import replace
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from geofilter import circle_expert as ce
 from geofilter.core import (FilterConfig, IgnoranceRegion, ImuSample,
-                            NormalEdge, PixelPoint, RebelEdge, trust_init,
-                            wrap_deg)
+                            NormalEdge, PixelPoint, RebelEdge, trust_commit,
+                            trust_init, wrap_deg)
 from geofilter.kinematics import advance, angle_of, heading, outward
 
 
@@ -107,6 +108,45 @@ def classify_edge(obs_beta: float, at_origin: bool, dist: float,
     if in_span:
         return ce.XiClass.XI1 if mag_ok else ce.XiClass.XI4
     return ce.XiClass.XI5
+
+
+def estimate_normal_edge(pred: NormalEdge, matched_obs: PixelPoint,
+                         match_count: int, imu: ImuSample,
+                         config: FilterConfig) -> NormalEdge:
+    """Commit one matched observation into a normal edge estimate."""
+    if match_count < 1:
+        raise ValueError("match_count must be >= 1")
+    origin = config.camera.principal
+    tr_c = config.circle_trust.tr_c
+    loc = ce.estimate_trusted(pred.loc, matched_obs, pred.trust, tr_c)
+    scale = config.px_per_cm * imu.t_f
+    sign = 1.0 if matched_obs.dist(origin) > pred.loc.dist(origin) else -1.0
+    vel = abs(imu.v_v + sign * pred.loc.dist(matched_obs) / scale)
+    mu = 0.5 * (abs(imu.v_v - pred.vel) * scale / match_count + pred.mu)
+    beta = angle_of(loc, origin)
+    return NormalEdge(loc=loc, vel=vel, beta=beta, mu=mu, trust=pred.trust)
+
+
+def commit_normal_edges(predicted: Sequence[NormalEdge],
+                        matches: Dict[int, Tuple[list, list]],
+                        imu: ImuSample,
+                        config: FilterConfig) -> List[NormalEdge]:
+    """Estimate and commit predicted normal edges one at a time. `matches`
+    maps an edge's index to its XI2 and its XI3 matches, each a list of
+    (obs, count, dist) in observation order."""
+    out = []
+    for i, pred in enumerate(predicted):
+        xi2, xi3 = matches.get(i, ((), ()))
+        if xi2 or xi3:
+            chosen = min(xi2 or xi3, key=lambda a: a[2])
+            match_count = max(1, sum(a[1] for a in xi2 + xi3))
+            pred = estimate_normal_edge(pred, chosen[0], match_count, imu,
+                                        config)
+        trust = trust_commit(pred.trust, 1 if xi2 else -1,
+                             config.circle_trust)
+        if trust is not None:
+            out.append(replace(pred, trust=trust))
+    return out
 
 
 # -- the circle member test, one element at a time ----------------------------

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from geofilter import circle_expert as ce
-from geofilter.core import (Circle, ImuSample, NormalEdge, PixelPoint,
-                            RebelEdge, default_config, wrap_deg)
+from geofilter.core import (Circle, ImuSample, NormalEdge, NormalEdges,
+                            PixelPoint, RebelEdge, default_config, wrap_deg)
 from geofilter.kinematics import angle_of
 
 CFG = default_config()
@@ -115,30 +116,49 @@ class TestEstimateTrustedAngle:
         assert abs(wrap_deg(out - meas)) <= abs(wrap_deg(prior - meas)) + 1e-9
 
 
+def _estimate(pred, obs, match_count):
+    """`estimate_normal_edges` on one edge, as `step` calls it, with the
+    observation's distance to the prediction."""
+    [out] = ce.estimate_normal_edges(
+        NormalEdges.of([pred]), np.array([obs.x]), np.array([obs.y]),
+        np.array([obs.dist(pred.loc)]), np.array([match_count]), IMU, CFG)
+    return out
+
+
 class TestEstimateNormalEdge:
+    """The column estimate `step` runs and its per-edge oracle."""
+
     def test_frozen_example(self):
         pred = NormalEdge(loc=PixelPoint(400.0, 250.0), vel=4.0, beta=0.0,
                           mu=20.0, trust=3)
-        out = ce.estimate_normal_edge(pred, PixelPoint(404.0, 247.0),
-                                      match_count=2, imu=IMU, config=CFG)
-        # frozen from the independent derivation
-        assert out.loc == PixelPoint(402.0, 248.5)
-        assert out.vel == pytest.approx(3.0)
-        assert out.mu == pytest.approx(12.5)
-        assert out.beta == pytest.approx(5.918060352107626)
-        assert out.trust == 3  # trust committed by the caller
+        obs = PixelPoint(404.0, 247.0)
+        for out in (_estimate(pred, obs, 2), oracles.estimate_normal_edge(
+                pred, obs, match_count=2, imu=IMU, config=CFG)):
+            # frozen from the independent derivation
+            assert out.loc == PixelPoint(402.0, 248.5)
+            assert out.vel == pytest.approx(3.0)
+            assert out.mu == pytest.approx(12.5)
+            assert out.beta == pytest.approx(5.918060352107626)
+            assert out.trust == 3  # trust committed by the caller
 
     def test_inward_observation_brakes(self):
         pred = NormalEdge(loc=PixelPoint(420.0, 240.0), vel=2.0, beta=0.0,
                           mu=25.0, trust=2)
         obs = PixelPoint(415.0, 240.0)  # 5 px closer to the origin
-        out = ce.estimate_normal_edge(pred, obs, 1, IMU, CFG)
-        assert out.vel == pytest.approx(abs(2.0 - 1.0))
+        for out in (_estimate(pred, obs, 1),
+                    oracles.estimate_normal_edge(pred, obs, 1, IMU, CFG)):
+            assert out.vel == pytest.approx(abs(2.0 - 1.0))
 
     def test_rejects_zero_match_count(self):
         with pytest.raises(ValueError):
-            ce.estimate_normal_edge(_edge(400.0, 240.0),
-                                    PixelPoint(401.0, 240.0), 0, IMU, CFG)
+            oracles.estimate_normal_edge(_edge(400.0, 240.0),
+                                         PixelPoint(401.0, 240.0), 0, IMU,
+                                         CFG)
+
+    def test_rejects_trust_below_critical(self):
+        with pytest.raises(ValueError, match="trust below critical"):
+            _estimate(_edge(400.0, 240.0, trust=CFG.circle_trust.tr_c - 1),
+                      PixelPoint(401.0, 240.0), 1)
 
 
 class TestRebelAlignment:
@@ -276,9 +296,15 @@ def _members(pool, seed, rebel=False):
 
 
 def _group(pool, rebel=False):
-    """The mean circle that the seed pool[0] groups."""
+    """The mean circle that the seed pool[0] groups, from the columns `step`
+    builds."""
     ids, angle = _members(pool, 0, rebel)
-    return ce.build_circle(pool, ids, angle[ids].tolist(), CFG)
+    origin = (([e.origin.x for e in pool], [e.origin.y for e in pool])
+              if rebel else None)
+    return ce.build_circle(ids, [e.loc.x for e in pool],
+                           [e.loc.y for e in pool],
+                           [abs(e.vel) for e in pool], angle.tolist(), CFG,
+                           origin)
 
 
 class TestGroupNormalCircle:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from geofilter.core import (FilterState, IgnoranceRegion, ImuSample,
                             PixelPoint, default_config, wrap_deg)
+from geofilter.formats import METRICS_COLUMNS
 from geofilter.pipeline import (SequencingError, _angle_neighbors,
                                 baseline_store, dimensionality, step)
 from geofilter.scene_synth import SceneSpec, generate
@@ -99,7 +100,7 @@ class TestStep:
     def test_trust_values_stay_in_ladders(self):
         cfg, truth = _scene(seed=2, frames=12, n_points=80)
         for st_, _rep in _run(cfg, truth):
-            for e in st_.normal_edges + st_.rebel_edges:
+            for e in list(st_.normal_edges) + st_.rebel_edges:
                 assert cfg.circle_trust.tr_c <= e.trust <= cfg.circle_trust.tr_m
             for c in st_.normal_circles + st_.rebel_circles:
                 assert cfg.circle_trust.tr_c <= c.trust <= cfg.circle_trust.tr_m
@@ -115,6 +116,18 @@ class TestStep:
                     rep.psi, rep.alpha)
             assert rep.total == sum((rep.chi, rep.e_n, rep.e_r, rep.c_n,
                                      rep.c_r, rep.s, rep.psi, rep.alpha))
+
+    def test_report_counts_suppressed_detections(self):
+        """`suppressed` counts the detections the ignorance regions drop,
+        outside `total` and the metrics columns."""
+        cfg, truth = _scene(seed=4, frames=12, n_points=400)
+        seen = 0
+        for k, (st_, rep) in enumerate(_run(cfg, truth)):
+            assert rep.suppressed == len(truth.edges(k)) - sum(
+                n for _p, n in st_.chi)
+            seen += rep.suppressed
+        assert seen > 0
+        assert "suppressed" not in METRICS_COLUMNS
 
     def test_first_frame_seeds_edges_from_every_cluster(self):
         cfg, truth = _scene(seed=1, frames=1)

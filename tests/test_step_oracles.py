@@ -25,9 +25,9 @@ import oracles
 from geofilter import circle_expert as ce
 from geofilter import pipeline
 from geofilter import square_expert as se
-from geofilter.core import (Circle, ImuSample, NormalEdge, PixelPoint,
-                            RebelEdge, Square, default_config, trust_commit,
-                            wrap_deg)
+from geofilter.core import (Circle, ImuSample, NormalEdge, NormalEdges,
+                            PixelPoint, RebelEdge, Square, default_config,
+                            trust_commit, wrap_deg)
 from geofilter.kinematics import angle_of
 from geofilter.pipeline import _associate, _predict_circle
 from oracles import within_error_span
@@ -129,8 +129,10 @@ def _circle_stage_oracle(edges, prev_circles, imu, config, rebel):
         for g in member_global:
             assigned[g] = True
         means.append(ce.build_circle(
-            edges, member_global,
-            [grouping_angle(edges[g]) for g in member_global], config))
+            member_global, [e.loc.x for e in edges], [e.loc.y for e in edges],
+            [abs(e.vel) for e in edges], [grouping_angle(e) for e in edges],
+            config, ([e.origin.x for e in edges], [e.origin.y for e in edges])
+            if rebel else None))
         member_locs.append([edges[g].loc for g in member_global])
 
     predicted = [_predict_circle(c, imu, config) for c in prev_circles]
@@ -191,19 +193,8 @@ def _normal_edge_stage_oracle(old, chi, imu, config):
                 born.append(obs)
     else:
         born = [obs for obs, _count in chi]
-    normal_edges: List[NormalEdge] = []
-    for idx, pred in enumerate(predicted_n):
-        xi2, xi3 = matches.get(idx, ((), ()))
-        if xi2 or xi3:
-            chosen = min(xi2 or xi3, key=lambda a: a[2])
-            match_count = max(1, sum(a[1] for a in xi2 + xi3))
-            est = ce.estimate_normal_edge(pred, chosen[0], match_count, imu,
-                                          config)
-            delta = 1 if xi2 else -1
-        else:
-            est = pred
-            delta = -1
-        _commit_copy(normal_edges, est, delta, config.circle_trust)
+    normal_edges = NormalEdges.of(
+        oracles.commit_normal_edges(predicted_n, matches, imu, config))
     return normal_edges, born, rebel_candidates, comparisons
 
 
@@ -356,7 +347,8 @@ def test_circle_stage_windows_match_oracle(edges, prev, imu, eps_beta_n,
     gate, which the default 40 never closes."""
     config = replace(CFG, eps_beta_n=eps_beta_n, eps_v_n=eps_v_n)
     prev = [replace(c, kind="normal") for c in prev]
-    assert repr(pipeline._circle_stage(edges, prev, imu, config, rebel=False)) \
+    assert repr(pipeline._circle_stage(NormalEdges.of(edges), prev, imu,
+                                       config, rebel=False)) \
         == repr(_circle_stage_oracle(edges, prev, imu, config, rebel=False))
 
 
@@ -367,7 +359,8 @@ def test_circle_stage_windows_match_oracle(edges, prev, imu, eps_beta_n,
 def test_circle_stage_windows_match_oracle_off_range(edges, imu):
     """Betas outside [-180, 180] do not come out of `step`, but the
     circles are still those of the angle windows."""
-    assert repr(pipeline._circle_stage(edges, [], imu, CFG, rebel=False)) \
+    assert repr(pipeline._circle_stage(NormalEdges.of(edges), [], imu, CFG,
+                                       rebel=False)) \
         == repr(_circle_stage_oracle(edges, [], imu, CFG, rebel=False))
 
 
@@ -552,7 +545,8 @@ def edge_stage_inputs(draw):
 @settings(max_examples=400, deadline=None)
 def test_normal_edge_stage_matches_oracle(inputs):
     edges, chi, imu = inputs
-    assert repr(pipeline._normal_edge_stage(edges, chi, imu, CFG)) \
+    assert repr(pipeline._normal_edge_stage(NormalEdges.of(edges), chi, imu,
+                                            CFG)) \
         == repr(_normal_edge_stage_oracle(edges, chi, imu, CFG))
 
 
@@ -570,7 +564,8 @@ def test_normal_edge_stage_matches_oracle_at_crowd_size(seed, imu):
         preds[:150], rng.normal(0.0, 10.0, (150, 2)).tolist())]
     chi += [(PixelPoint(x, y), 2) for x, y in rng.uniform(
         (0.0, 0.0), (640.0, 480.0), (30, 2)).tolist()]
-    assert repr(pipeline._normal_edge_stage(edges, chi, imu, CFG)) \
+    assert repr(pipeline._normal_edge_stage(NormalEdges.of(edges), chi, imu,
+                                            CFG)) \
         == repr(_normal_edge_stage_oracle(edges, chi, imu, CFG))
 
 
